@@ -8,9 +8,9 @@
 
 use rand::{Rng, RngExt};
 
-use htp_core::sptree::TreeGrower;
-use htp_core::SpreadingMetric;
-use htp_netlist::{Hypergraph, NodeId};
+use htp_core::sptree::CsrGrowerScratch;
+use htp_graph::IndexedMinHeap;
+use htp_netlist::{CsrHypergraph, Hypergraph, NetId, NodeId};
 
 /// Parameters of the congestion computation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -77,11 +77,17 @@ pub fn flow_congestion<R: Rng + ?Sized>(
     );
     let n = h.num_nodes();
     let mut flow = vec![params.epsilon; h.num_nets()];
-    let mut metric = SpreadingMetric::from_lengths(
-        h.nets()
-            .map(|e| length_of(params.alpha, params.epsilon, h.net_capacity(e)))
-            .collect(),
-    );
+    let mut csr = CsrHypergraph::new(h);
+    for (e, len) in csr.lengths_mut().iter_mut().enumerate() {
+        *len = length_of(params.alpha, params.epsilon, h.net_capacity(NetId::new(e)));
+    }
+    let mut grower = CsrGrowerScratch::new(&csr);
+    let mut heap = IndexedMinHeap::new(n);
+    // Tree edge `(via net, parent)` of every node settled by the current
+    // grow. Only the path from `t` back to `s` is read, and every node on
+    // it was settled (and so written) by this grow, so stale entries from
+    // earlier pairs are never observed and the buffer needs no reset.
+    let mut tree_edge: Vec<Option<(NetId, NodeId)>> = vec![None; n];
     let mut routed = 0;
 
     for _ in 0..params.pairs {
@@ -90,13 +96,11 @@ pub fn flow_congestion<R: Rng + ?Sized>(
         if s == t {
             continue;
         }
-        // Route s -> t on the current metric; stop as soon as t settles.
-        let mut parent_net = vec![None; n];
-        let mut parent_node = vec![None; n];
+        // Route s -> t on the current lengths; stop as soon as t settles.
         let mut reached = false;
-        for step in TreeGrower::new(h, &metric, s) {
-            parent_net[step.node.index()] = step.via_net;
-            parent_node[step.node.index()] = step.parent;
+        grower.start(&csr, &mut heap, s.0);
+        while let Some(step) = grower.step(&csr, &mut heap) {
+            tree_edge[step.node.index()] = step.via_net.zip(step.parent);
             if step.node == t {
                 reached = true;
                 break;
@@ -106,14 +110,12 @@ pub fn flow_congestion<R: Rng + ?Sized>(
             continue; // different components
         }
         routed += 1;
-        // Walk the path back, injecting flow.
+        // Walk the path back, injecting flow and re-pricing in place.
         let mut cur = t;
-        while let (Some(e), Some(p)) = (parent_net[cur.index()], parent_node[cur.index()]) {
+        while let Some((e, p)) = tree_edge[cur.index()] {
             flow[e.index()] += params.delta;
-            metric.set_length(
-                e,
-                length_of(params.alpha, flow[e.index()], h.net_capacity(e)),
-            );
+            csr.lengths_mut()[e.index()] =
+                length_of(params.alpha, flow[e.index()], h.net_capacity(e));
             cur = p;
         }
     }

@@ -25,7 +25,7 @@ use htp_core::partitioner::{FlowPartitioner, PartitionerParams};
 use htp_core::runtime::{Budget, RunOutcome};
 use htp_core::CoreError;
 use htp_model::{cost, HierarchicalPartition, TreeSpec};
-use htp_netlist::{contract_with, ContractScratch, Hypergraph};
+use htp_netlist::{contract_with, ContractScratch, Hypergraph, NodeId};
 
 use crate::clusters::{agglomerate_ordered, net_order, Clustering};
 use crate::congestion::{flow_congestion, CongestionParams, CongestionProfile};
@@ -36,8 +36,8 @@ use crate::refine::{flow_refine_pass, FlowRefineParams, FlowRefineReport};
 /// than this factor — further passes would stall at the same size.
 const MIN_SHRINK: f64 = 0.95;
 
-/// Node-count fractions the adaptive filler policy tries to freeze, in
-/// escalation order: start with nothing frozen and add smallest-first
+/// Node-count fractions coarsening tries to freeze as filler singletons,
+/// in escalation order: start with nothing frozen and add smallest-first
 /// stripes until the coarse size distribution passes the packing screen.
 const ADAPTIVE_FRACTIONS: [f64; 6] = [
     0.0,
@@ -47,26 +47,6 @@ const ADAPTIVE_FRACTIONS: [f64; 6] = [
     1.0 / 8.0,
     1.0 / 4.0,
 ];
-
-/// How coarsening picks filler singletons — the small nodes frozen out of
-/// agglomeration at each level so the coarsest carve can still land inside
-/// the spec's tight block-size windows.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FillerPolicy {
-    /// Freeze every `stride`-th node (`0` freezes nothing) — the legacy
-    /// fixed stripe. Simple, but it freezes the same 1/stride of the
-    /// graph whether the level needs fillers or not, which inflates the
-    /// level count and the coarsest size on large instances.
-    Stride(usize),
-    /// Freeze only as much as the level provably needs: escalate through
-    /// fixed freeze fractions (0, 1/64, …, 1/4 — smallest nodes first,
-    /// ties by index) and accept the first clustering whose coarse sizes pass the
-    /// [`packing_infeasibility`] screen. Levels that never need fillers
-    /// freeze nothing and shrink at full speed; only the levels whose
-    /// size distribution actually threatens carve feasibility pay for a
-    /// singleton tail.
-    Adaptive,
-}
 
 /// Parameters of the multilevel V-cycle.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -94,10 +74,6 @@ pub struct VCycleParams {
     /// Cluster size cap as a fraction of the leaf capacity `C_0`, in
     /// `(0, 1]`. Bounds how big a coarse node may grow at any level.
     pub cluster_cap_fraction: f64,
-    /// How filler singletons are chosen at each coarsening level. The
-    /// preserved small-size tail is what lets the coarsest carve land
-    /// inside tight size windows; see [`FillerPolicy`].
-    pub fillers: FillerPolicy,
     /// Congestion-profile parameters for congestion-guided coarsening.
     pub congestion: CongestionParams,
     /// Use congestion-guided coarsening up to this many nodes; larger
@@ -135,7 +111,6 @@ impl Default for VCycleParams {
             max_levels: 12,
             level_shrink: 4.0,
             cluster_cap_fraction: 0.5,
-            fillers: FillerPolicy::Adaptive,
             congestion: CongestionParams::default(),
             congestion_max_nodes: 4096,
             // One metric iteration suffices at the coarsest level: the
@@ -573,15 +548,8 @@ fn down_pass<R: Rng + ?Sized>(
             // Sorted once per level and reused across every cap-decay and
             // filler-escalation retry below.
             let order = net_order(cur, &profile);
-            let freeze_order = match params.fillers {
-                FillerPolicy::Adaptive => {
-                    let sizes: Vec<u64> = cur.nodes().map(|v| cur.node_size(v)).collect();
-                    let mut o: Vec<usize> = (0..n).collect();
-                    o.sort_by_key(|&v| (sizes[v], v));
-                    o
-                }
-                FillerPolicy::Stride(_) => Vec::new(),
-            };
+            let mut freeze_order: Vec<usize> = (0..n).collect();
+            freeze_order.sort_by_key(|&v| (cur.node_size(NodeId::new(v)), v));
             // A stall — the cap leaves (almost) nothing to merge — does
             // not end the down pass outright: the cap target decays
             // another `level_shrink` step and the level retries with
@@ -597,7 +565,7 @@ fn down_pass<R: Rng + ?Sized>(
                     .min(global_cap)
                     .max(max_node);
                 let (clustering, frozen_fillers) =
-                    cluster_level(cur, &order, &freeze_order, cap, params.fillers, spec);
+                    cluster_level(cur, &order, &freeze_order, cap, spec);
                 if clustering.count as f64 <= n as f64 * MIN_SHRINK {
                     let (coarse, cstats) = contract_with(cur, &clustering.cluster_of, &mut scratch);
                     let stats = CoarsenLevelStats {
@@ -639,58 +607,44 @@ fn down_pass<R: Rng + ?Sized>(
     }
 }
 
-/// Clusters one coarsening level under `policy`, returning the clustering
-/// and how many filler singletons were frozen.
+/// Clusters one coarsening level, returning the clustering and how many
+/// filler singletons were frozen.
 ///
-/// For [`FillerPolicy::Adaptive`], walks the [`ADAPTIVE_FRACTIONS`]
-/// escalation — freezing the `freeze_order` prefix (smallest nodes first)
-/// — and accepts the first clustering whose coarse sizes pass the
-/// [`packing_infeasibility`] screen. When even the largest stripe fails
-/// the screen, the last clustering is returned anyway: the screen is a
-/// necessary condition only, and the coarsest-solve pre-check/backoff
-/// pops genuinely infeasible levels.
+/// Freezes only as much as the level provably needs: walks the
+/// [`ADAPTIVE_FRACTIONS`] escalation — freezing the `freeze_order` prefix
+/// (smallest nodes first, ties by index) — and accepts the first
+/// clustering whose coarse sizes pass the [`packing_infeasibility`]
+/// screen. Levels that never need fillers freeze nothing and shrink at
+/// full speed. When even the largest stripe fails the screen, the last
+/// clustering is returned anyway: the screen is a necessary condition
+/// only, and the coarsest-solve pre-check/backoff pops genuinely
+/// infeasible levels.
 fn cluster_level(
     cur: &Hypergraph,
     order: &[usize],
     freeze_order: &[usize],
     cap: u64,
-    policy: FillerPolicy,
     spec: &TreeSpec,
 ) -> (Clustering, usize) {
-    match policy {
-        FillerPolicy::Stride(stride) => {
-            let frozen: Vec<bool> = if stride == 0 {
-                Vec::new()
-            } else {
-                (0..cur.num_nodes())
-                    .map(|v| v.is_multiple_of(stride))
-                    .collect()
-            };
-            let count = frozen.iter().filter(|&&f| f).count();
-            (agglomerate_ordered(cur, order, &frozen, cap), count)
+    let n = cur.num_nodes();
+    let mut frozen = vec![false; n];
+    let mut prev = 0usize;
+    let mut last = None;
+    for &frac in &ADAPTIVE_FRACTIONS {
+        let count = (((n as f64) * frac).ceil() as usize).min(n);
+        for &v in &freeze_order[prev..count] {
+            frozen[v] = true;
         }
-        FillerPolicy::Adaptive => {
-            let n = cur.num_nodes();
-            let mut frozen = vec![false; n];
-            let mut prev = 0usize;
-            let mut last = None;
-            for &frac in &ADAPTIVE_FRACTIONS {
-                let count = (((n as f64) * frac).ceil() as usize).min(n);
-                for &v in &freeze_order[prev..count] {
-                    frozen[v] = true;
-                }
-                prev = count;
-                let clustering = agglomerate_ordered(cur, order, &frozen, cap);
-                let sizes = clustering.sizes(cur);
-                let feasible = packing_infeasibility(&sizes, spec).is_none();
-                last = Some((clustering, count));
-                if feasible {
-                    break;
-                }
-            }
-            last.expect("ADAPTIVE_FRACTIONS is non-empty")
+        prev = count;
+        let clustering = agglomerate_ordered(cur, order, &frozen, cap);
+        let sizes = clustering.sizes(cur);
+        let feasible = packing_infeasibility(&sizes, spec).is_none();
+        last = Some((clustering, count));
+        if feasible {
+            break;
         }
     }
+    last.expect("ADAPTIVE_FRACTIONS is non-empty")
 }
 
 /// Provable size-packing infeasibility screen.

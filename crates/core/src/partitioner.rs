@@ -212,31 +212,6 @@ impl FlowPartitioner {
         rng: &mut R,
         budget: &Budget,
     ) -> Result<BudgetedRun, CoreError> {
-        // Optional pre-solve dedup ([`FlowParams::dedup_nets`]): solve on
-        // the merged netlist (node ids unchanged), then translate the
-        // winner back — cost re-priced on the caller's netlist, metric
-        // lengths re-expanded through the net provenance map.
-        if self.params.flow.dedup_nets {
-            let (dh, net_map, stats) = htp_netlist::dedup_nets(h);
-            if stats.merged_nets > 0 {
-                let mut run = self.solve_with_budget(&dh, spec, rng, budget)?;
-                let lengths = run.result.metric.lengths();
-                let expanded: Vec<f64> = net_map.iter().map(|&m| lengths[m as usize]).collect();
-                run.result.metric = SpreadingMetric::from_lengths(expanded);
-                run.result.cost = cost::partition_cost(h, spec, &run.result.partition);
-                return Ok(run);
-            }
-        }
-        self.solve_with_budget(h, spec, rng, budget)
-    }
-
-    fn solve_with_budget<R: Rng + ?Sized>(
-        &self,
-        h: &Hypergraph,
-        spec: &TreeSpec,
-        rng: &mut R,
-        budget: &Budget,
-    ) -> Result<BudgetedRun, CoreError> {
         let mut best: Option<FlowResult> = None;
         let mut best_from_partial = false;
         let mut history = Vec::with_capacity(self.params.iterations);
@@ -472,96 +447,6 @@ mod tests {
             iterations: 0,
             ..PartitionerParams::default()
         });
-    }
-
-    #[test]
-    fn dedup_nets_solves_on_the_merged_netlist_but_answers_on_the_original() {
-        // A netlist where every net appears three times: dedup merges each
-        // triple into one net of triple capacity.
-        let mut rng = StdRng::seed_from_u64(2);
-        let inst = clustered_hypergraph(
-            ClusteredParams {
-                clusters: 4,
-                cluster_size: 8,
-                intra_nets: 24,
-                inter_nets: 4,
-                min_net_size: 2,
-                max_net_size: 3,
-            },
-            &mut rng,
-        );
-        let base = &inst.hypergraph;
-        let mut b = HypergraphBuilder::new();
-        for v in base.nodes() {
-            b.add_node(base.node_size(v));
-        }
-        for _ in 0..3 {
-            for e in base.nets() {
-                b.add_net(base.net_capacity(e), base.net_pins(e).iter().copied())
-                    .unwrap();
-            }
-        }
-        let h = b.build().unwrap();
-        let spec = TreeSpec::full_tree(h.total_size(), 2, 2, 1.2, 1.0).unwrap();
-        let params = PartitionerParams {
-            iterations: 2,
-            constructions_per_metric: 2,
-            flow: FlowParams {
-                dedup_nets: true,
-                ..FlowParams::default()
-            },
-        };
-        let result = FlowPartitioner::try_new(params)
-            .unwrap()
-            .run(&h, &spec, &mut StdRng::seed_from_u64(17))
-            .unwrap();
-        // The answer is valid on the *original* netlist and its cost is
-        // the original netlist's exact cost, not the merged one's.
-        htp_model::validate::validate(&h, &spec, &result.partition).unwrap();
-        assert_eq!(
-            result.cost,
-            cost::partition_cost(&h, &spec, &result.partition)
-        );
-        // The metric was re-expanded to one length per original net, with
-        // merged triples sharing a length.
-        assert_eq!(result.metric.len(), h.num_nets());
-        let m = base.num_nets();
-        for e in 0..m {
-            let l = result.metric.lengths()[e];
-            assert_eq!(result.metric.lengths()[e + m], l);
-            assert_eq!(result.metric.lengths()[e + 2 * m], l);
-        }
-    }
-
-    #[test]
-    fn dedup_nets_is_a_noop_on_a_duplicate_free_netlist() {
-        // A path: every net {i, i+1} is a distinct pin set by construction,
-        // so dedup merges nothing and must fall through bit-identically.
-        let mut b = HypergraphBuilder::with_unit_nodes(64);
-        for i in 0..63u32 {
-            b.add_net(1.0 + f64::from(i % 3), [NodeId(i), NodeId(i + 1)])
-                .unwrap();
-        }
-        let h = &b.build().unwrap();
-        let spec = TreeSpec::full_tree(h.total_size(), 2, 2, 1.2, 1.0).unwrap();
-        let run = |dedup: bool| {
-            let params = PartitionerParams {
-                iterations: 2,
-                constructions_per_metric: 2,
-                flow: FlowParams {
-                    dedup_nets: dedup,
-                    ..FlowParams::default()
-                },
-            };
-            FlowPartitioner::try_new(params)
-                .unwrap()
-                .run(h, &spec, &mut StdRng::seed_from_u64(11))
-                .unwrap()
-        };
-        let (off, on) = (run(false), run(true));
-        assert_eq!(off.cost, on.cost);
-        assert_eq!(off.partition, on.partition);
-        assert_eq!(off.metric.lengths(), on.metric.lengths());
     }
 
     #[test]

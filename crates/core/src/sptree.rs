@@ -2,21 +2,45 @@
 //!
 //! Algorithm 2 grows, for a source `v`, the shortest-path trees `S(v, k)`
 //! for `k = 1, 2, …` under the current spreading metric, stopping as soon as
-//! a spreading constraint is violated. [`TreeGrower`] supports exactly that
-//! access pattern: it is an iterator that settles one node per step, in
-//! non-decreasing distance order, so the caller can stop paying as soon as
-//! it has seen enough.
+//! a spreading constraint is violated. [`CsrGrowerScratch`] supports exactly
+//! that access pattern over a flat [`CsrHypergraph`]:
+//! [`start`](CsrGrowerScratch::start) seeds a tree and each
+//! [`step`](CsrGrowerScratch::step) settles one node, in non-decreasing
+//! distance order, so the caller can stop paying as soon as it has seen
+//! enough. The priority queue is passed in as any [`Frontier`], so one
+//! scratch serves both the heap and the dial kernel.
 //!
 //! Distances traverse nets: stepping from any pin of net `e` to any other
 //! pin costs `d(e)` (the hypergraph generalization the paper sketches in
 //! Section 3.1). Since `d(e)` is the same from every pin, each net needs to
 //! be relaxed only once — from its first settled pin — giving the
 //! `O((n + p) log n)` bound the paper quotes.
+//!
+//! # Examples
+//!
+//! ```
+//! use htp_core::sptree::CsrGrowerScratch;
+//! use htp_graph::IndexedMinHeap;
+//! use htp_netlist::{CsrHypergraph, HypergraphBuilder, NodeId};
+//!
+//! # fn main() -> Result<(), htp_netlist::NetlistError> {
+//! let mut b = HypergraphBuilder::with_unit_nodes(3);
+//! b.add_net(1.0, [NodeId(0), NodeId(1)])?;
+//! b.add_net(1.0, [NodeId(1), NodeId(2)])?;
+//! let csr = CsrHypergraph::with_lengths(&b.build()?, &[1.0, 2.0]);
+//! let mut grower = CsrGrowerScratch::new(&csr);
+//! let mut heap = IndexedMinHeap::new(csr.num_nodes());
+//! grower.start(&csr, &mut heap, 0);
+//! let dists: Vec<f64> = std::iter::from_fn(|| grower.step(&csr, &mut heap))
+//!     .map(|s| s.dist)
+//!     .collect();
+//! assert_eq!(dists, vec![0.0, 1.0, 3.0]);
+//! # Ok(())
+//! # }
+//! ```
 
-use htp_graph::{Frontier, IndexedMinHeap};
-use htp_netlist::{CsrHypergraph, Hypergraph, NetId, NodeId};
-
-use crate::SpreadingMetric;
+use htp_graph::Frontier;
+use htp_netlist::{CsrHypergraph, NetId, NodeId};
 
 /// One settled node of a growing shortest-path tree.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -34,104 +58,21 @@ pub struct TreeStep {
     pub parent: Option<NodeId>,
 }
 
-/// Reusable buffers for growing shortest-path trees.
-///
-/// Every tree grow needs distance/parent/visited arrays sized by the
-/// hypergraph. Allocating (and zeroing) them per probe dominates the cost
-/// of small trees, which is exactly what Algorithm 2 grows most of the
-/// time — the constraint oracle stops at the first violated prefix. A
-/// `GrowerScratch` is allocated once per worker and reset in time
-/// proportional to the *touched* region only.
-#[derive(Debug)]
-pub struct GrowerScratch {
-    dist: Vec<f64>,
-    via: Vec<Option<NetId>>,
-    parent: Vec<Option<NodeId>>,
-    net_used: Vec<bool>,
-    heap: IndexedMinHeap,
-    touched_nodes: Vec<usize>,
-    touched_nets: Vec<usize>,
-}
-
-impl GrowerScratch {
-    /// Buffers sized for `h`.
-    pub fn new(h: &Hypergraph) -> Self {
-        let n = h.num_nodes();
-        GrowerScratch {
-            dist: vec![f64::INFINITY; n],
-            via: vec![None; n],
-            parent: vec![None; n],
-            net_used: vec![false; h.num_nets()],
-            heap: IndexedMinHeap::new(n),
-            touched_nodes: Vec::new(),
-            touched_nets: Vec::new(),
-        }
-    }
-
-    /// Restores the pristine state, in `O(touched)`.
-    fn reset(&mut self) {
-        for &i in &self.touched_nodes {
-            self.dist[i] = f64::INFINITY;
-            self.via[i] = None;
-            self.parent[i] = None;
-        }
-        self.touched_nodes.clear();
-        for &e in &self.touched_nets {
-            self.net_used[e] = false;
-        }
-        self.touched_nets.clear();
-        self.heap.clear();
-    }
-
-    fn start(&mut self, source: NodeId) {
-        self.reset();
-        self.dist[source.index()] = 0.0;
-        self.touched_nodes.push(source.index());
-        self.heap.push_or_decrease(source.index(), 0.0);
-    }
-
-    fn step(&mut self, h: &Hypergraph, metric: &SpreadingMetric) -> Option<TreeStep> {
-        let (v, dv) = self.heap.pop()?;
-        for &e in h.node_nets(NodeId::new(v)) {
-            if self.net_used[e.index()] {
-                continue;
-            }
-            self.net_used[e.index()] = true;
-            self.touched_nets.push(e.index());
-            let cand = dv + metric.length(e);
-            for &w in h.net_pins(e) {
-                if cand < self.dist[w.index()] {
-                    if self.dist[w.index()].is_infinite() {
-                        self.touched_nodes.push(w.index());
-                    }
-                    self.dist[w.index()] = cand;
-                    self.via[w.index()] = Some(e);
-                    self.parent[w.index()] = Some(NodeId::new(v));
-                    self.heap.push_or_decrease(w.index(), cand);
-                }
-            }
-        }
-        Some(TreeStep {
-            node: NodeId::new(v),
-            dist: dv,
-            via_net: self.via[v],
-            parent: self.parent[v],
-        })
-    }
-}
-
 /// Sentinel for "no via-net / no parent" in the CSR scratch's raw arrays.
 const NONE32: u32 = u32::MAX;
 
-/// Reusable buffers for the data-oriented tree grower.
+/// Reusable buffers for growing shortest-path trees.
 ///
-/// The CSR migration of [`GrowerScratch`]: the `via`/`parent` arrays store
-/// raw `u32` ids with a [`u32::MAX`] sentinel instead of `Option<NetId>` /
-/// `Option<NodeId>`, halving the bytes written per relaxation, and the
-/// frontier is *external* — passed into [`start`](CsrGrowerScratch::start)
-/// and [`step`](CsrGrowerScratch::step) as any [`Frontier`] — so the same
-/// scratch serves both the heap and the dial kernel. Reset stays
-/// `O(touched)` via the same touched-list discipline.
+/// Every tree grow needs distance/parent/visited arrays sized by the
+/// hypergraph. Allocating (and zeroing) them per probe would dominate the
+/// cost of small trees, which is exactly what Algorithm 2 grows most of
+/// the time — the constraint oracle stops at the first violated prefix.
+/// One scratch is allocated per worker and reset in time proportional to
+/// the *touched* region only. The `via`/`parent` arrays store raw `u32`
+/// ids with a [`u32::MAX`] sentinel, and the frontier is *external* —
+/// passed into [`start`](CsrGrowerScratch::start) and
+/// [`step`](CsrGrowerScratch::step) as any [`Frontier`] — so the same
+/// scratch serves both the heap and the dial kernel.
 #[derive(Debug)]
 pub struct CsrGrowerScratch {
     dist: Vec<f64>,
@@ -156,18 +97,6 @@ impl CsrGrowerScratch {
         }
     }
 
-    /// Buffers sized for `h` (same shape as its CSR view).
-    pub fn for_hypergraph(h: &Hypergraph) -> Self {
-        CsrGrowerScratch {
-            dist: vec![f64::INFINITY; h.num_nodes()],
-            via: vec![NONE32; h.num_nodes()],
-            parent: vec![NONE32; h.num_nodes()],
-            net_used: vec![false; h.num_nets()],
-            touched_nodes: Vec::new(),
-            touched_nets: Vec::new(),
-        }
-    }
-
     /// Restores the pristine state, in `O(touched)`.
     fn reset(&mut self) {
         for &i in &self.touched_nodes {
@@ -182,12 +111,25 @@ impl CsrGrowerScratch {
         self.touched_nets.clear();
     }
 
-    /// Resets the scratch and `frontier` and seeds a tree at `source`.
+    /// Resets the scratch and `frontier` and seeds a tree at `source` in
+    /// `csr`. The shape checks run here, once per grow, so
+    /// [`step`](CsrGrowerScratch::step) stays check-free.
     ///
     /// # Panics
     ///
-    /// Panics if `source` is out of range for the scratch's node count.
-    pub fn start<F: Frontier>(&mut self, frontier: &mut F, source: u32) {
+    /// Panics if the scratch was built for a hypergraph with a different
+    /// node or net count than `csr`, or if `source` is out of range.
+    pub fn start<F: Frontier>(&mut self, csr: &CsrHypergraph, frontier: &mut F, source: u32) {
+        assert_eq!(
+            self.dist.len(),
+            csr.num_nodes(),
+            "scratch sized for a different node count"
+        );
+        assert_eq!(
+            self.net_used.len(),
+            csr.num_nets(),
+            "scratch sized for a different net count"
+        );
         assert!(
             (source as usize) < self.dist.len(),
             "source {source} out of range"
@@ -199,9 +141,10 @@ impl CsrGrowerScratch {
         frontier.push_or_decrease(source as usize, 0.0);
     }
 
-    /// Settles the closest unsettled node, relaxing its fresh nets — the
-    /// same arithmetic, in the same order, as `GrowerScratch::step`; the
-    /// kernel-equivalence suite pins the two bit-for-bit.
+    /// Settles the closest unsettled node, relaxing its fresh nets, and
+    /// reports how it was reached; `None` once every reachable node is
+    /// settled. `csr` must be the hypergraph passed to
+    /// [`start`](CsrGrowerScratch::start).
     pub fn step<F: Frontier>(&mut self, csr: &CsrHypergraph, frontier: &mut F) -> Option<TreeStep> {
         let (v, dv) = frontier.pop()?;
         for &e in csr.node_nets(v as u32) {
@@ -238,179 +181,50 @@ impl CsrGrowerScratch {
     }
 }
 
-/// Grows the shortest-path tree from a source node one settled node at a
-/// time.
-///
-/// An iterator: each [`next`](Iterator::next) settles the closest
-/// unsettled node and reports how it was reached. Callers that only need
-/// a prefix of the tree (the violation oracles) simply stop iterating.
-///
-/// # Examples
-///
-/// ```
-/// use htp_core::{sptree::TreeGrower, SpreadingMetric};
-/// use htp_netlist::{HypergraphBuilder, NodeId};
-///
-/// # fn main() -> Result<(), htp_netlist::NetlistError> {
-/// let mut b = HypergraphBuilder::with_unit_nodes(3);
-/// b.add_net(1.0, [NodeId(0), NodeId(1)])?;
-/// b.add_net(1.0, [NodeId(1), NodeId(2)])?;
-/// let h = b.build()?;
-/// let m = SpreadingMetric::from_lengths(vec![1.0, 2.0]);
-/// let dists: Vec<f64> = TreeGrower::new(&h, &m, NodeId(0)).map(|s| s.dist).collect();
-/// assert_eq!(dists, vec![0.0, 1.0, 3.0]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct TreeGrower<'a> {
-    h: &'a Hypergraph,
-    metric: &'a SpreadingMetric,
-    scratch: Scratch<'a>,
-}
-
-#[derive(Debug)]
-enum Scratch<'a> {
-    Owned(Box<GrowerScratch>),
-    Borrowed(&'a mut GrowerScratch),
-}
-
-impl Scratch<'_> {
-    fn get(&self) -> &GrowerScratch {
-        match self {
-            Scratch::Owned(s) => s,
-            Scratch::Borrowed(s) => s,
-        }
-    }
-
-    fn get_mut(&mut self) -> &mut GrowerScratch {
-        match self {
-            Scratch::Owned(s) => s,
-            Scratch::Borrowed(s) => s,
-        }
-    }
-}
-
-impl<'a> TreeGrower<'a> {
-    /// Starts a tree at `source`, with freshly allocated buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is out of range or the metric's net count differs
-    /// from the hypergraph's.
-    pub fn new(h: &'a Hypergraph, metric: &'a SpreadingMetric, source: NodeId) -> Self {
-        let scratch = Scratch::Owned(Box::new(GrowerScratch::new(h)));
-        Self::start(h, metric, source, scratch)
-    }
-
-    /// Starts a tree at `source` reusing `scratch` (reset on entry). This
-    /// is the hot-loop entry point: Algorithm 2's probe workers keep one
-    /// scratch per thread across thousands of probes.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`TreeGrower::new`], and additionally if `scratch` was
-    /// built for a different-shaped hypergraph.
-    pub fn with_scratch(
-        h: &'a Hypergraph,
-        metric: &'a SpreadingMetric,
-        source: NodeId,
-        scratch: &'a mut GrowerScratch,
-    ) -> Self {
-        assert_eq!(
-            scratch.dist.len(),
-            h.num_nodes(),
-            "scratch sized for a different node count"
-        );
-        assert_eq!(
-            scratch.net_used.len(),
-            h.num_nets(),
-            "scratch sized for a different net count"
-        );
-        Self::start(h, metric, source, Scratch::Borrowed(scratch))
-    }
-
-    fn start(
-        h: &'a Hypergraph,
-        metric: &'a SpreadingMetric,
-        source: NodeId,
-        mut scratch: Scratch<'a>,
-    ) -> Self {
-        assert!(
-            source.index() < h.num_nodes(),
-            "source {source} out of range"
-        );
-        assert_eq!(
-            h.num_nets(),
-            metric.len(),
-            "metric/hypergraph net count mismatch"
-        );
-        scratch.get_mut().start(source);
-        TreeGrower { h, metric, scratch }
-    }
-
-    /// Distance of a node settled so far (`INFINITY` otherwise).
-    pub fn distance(&self, v: NodeId) -> f64 {
-        self.scratch.get().dist[v.index()]
-    }
-
-    /// Consumes the grower and returns the distance array (`INFINITY` for
-    /// nodes not settled yet — drain the iterator first for full
-    /// single-source distances).
-    ///
-    /// A grower that owns its buffers ([`TreeGrower::new`]) moves the
-    /// vector out without copying; one borrowing a caller's scratch
-    /// ([`TreeGrower::with_scratch`]) must clone, since the scratch keeps
-    /// its buffers for the next probe.
-    pub fn into_distances(self) -> Vec<f64> {
-        match self.scratch {
-            Scratch::Owned(mut s) => std::mem::take(&mut s.dist),
-            Scratch::Borrowed(s) => s.dist.clone(),
-        }
-    }
-}
-
-impl Iterator for TreeGrower<'_> {
-    type Item = TreeStep;
-
-    fn next(&mut self) -> Option<TreeStep> {
-        let (h, metric) = (self.h, self.metric);
-        self.scratch.get_mut().step(h, metric)
-    }
-}
-
-/// Full single-source distances over the hypergraph — a convenience wrapper
-/// that drains a [`TreeGrower`] and moves the distance vector out
-/// (via [`TreeGrower::into_distances`], so no copy is made).
-pub fn hypergraph_distances(h: &Hypergraph, metric: &SpreadingMetric, source: NodeId) -> Vec<f64> {
-    let mut grower = TreeGrower::new(h, metric, source);
-    while grower.next().is_some() {}
-    grower.into_distances()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htp_netlist::HypergraphBuilder;
+    use htp_graph::{dial_plan_forced, DialQueue, IndexedMinHeap};
+    use htp_netlist::{Hypergraph, HypergraphBuilder};
     use proptest::prelude::*;
 
-    fn chain(lengths: &[f64]) -> (Hypergraph, SpreadingMetric) {
+    fn chain(lengths: &[f64]) -> CsrHypergraph {
         let n = lengths.len() + 1;
         let mut b = HypergraphBuilder::with_unit_nodes(n);
         for i in 0..lengths.len() {
             b.add_net(1.0, [NodeId::new(i), NodeId::new(i + 1)])
                 .unwrap();
         }
-        (
-            b.build().unwrap(),
-            SpreadingMetric::from_lengths(lengths.to_vec()),
-        )
+        CsrHypergraph::with_lengths(&b.build().unwrap(), lengths)
+    }
+
+    /// Grows the full tree with the CSR kernel over `frontier`.
+    fn csr_steps<F: Frontier>(
+        csr: &CsrHypergraph,
+        scratch: &mut CsrGrowerScratch,
+        frontier: &mut F,
+        source: u32,
+    ) -> Vec<TreeStep> {
+        scratch.start(csr, frontier, source);
+        std::iter::from_fn(|| scratch.step(csr, frontier)).collect()
+    }
+
+    /// Full single-source distances (`INFINITY` for unreachable nodes).
+    fn distances(csr: &CsrHypergraph, source: u32) -> Vec<f64> {
+        let mut scratch = CsrGrowerScratch::new(csr);
+        let mut heap = IndexedMinHeap::new(csr.num_nodes());
+        csr_steps(csr, &mut scratch, &mut heap, source);
+        (0..csr.num_nodes() as u32)
+            .map(|v| scratch.distance(v))
+            .collect()
     }
 
     #[test]
     fn settles_in_distance_order() {
-        let (h, m) = chain(&[3.0, 1.0, 1.0]);
-        let steps: Vec<TreeStep> = TreeGrower::new(&h, &m, NodeId(1)).collect();
+        let csr = chain(&[3.0, 1.0, 1.0]);
+        let mut scratch = CsrGrowerScratch::new(&csr);
+        let mut heap = IndexedMinHeap::new(csr.num_nodes());
+        let steps = csr_steps(&csr, &mut scratch, &mut heap, 1);
         let order: Vec<u32> = steps.iter().map(|s| s.node.0).collect();
         assert_eq!(order, vec![1, 2, 3, 0]);
         let dists: Vec<f64> = steps.iter().map(|s| s.dist).collect();
@@ -427,10 +241,8 @@ mod tests {
         let mut b = HypergraphBuilder::with_unit_nodes(4);
         b.add_net(1.0, [NodeId(0), NodeId(1), NodeId(2), NodeId(3)])
             .unwrap();
-        let h = b.build().unwrap();
-        let m = SpreadingMetric::from_lengths(vec![2.5]);
-        let d = hypergraph_distances(&h, &m, NodeId(0));
-        assert_eq!(d, vec![0.0, 2.5, 2.5, 2.5]);
+        let csr = CsrHypergraph::with_lengths(&b.build().unwrap(), &[2.5]);
+        assert_eq!(distances(&csr, 0), vec![0.0, 2.5, 2.5, 2.5]);
     }
 
     #[test]
@@ -438,65 +250,53 @@ mod tests {
         let mut b = HypergraphBuilder::with_unit_nodes(4);
         b.add_net(1.0, [NodeId(0), NodeId(1)]).unwrap();
         b.add_net(1.0, [NodeId(2), NodeId(3)]).unwrap();
-        let h = b.build().unwrap();
-        let m = SpreadingMetric::from_lengths(vec![1.0, 1.0]);
-        let d = hypergraph_distances(&h, &m, NodeId(0));
+        let csr = CsrHypergraph::with_lengths(&b.build().unwrap(), &[1.0, 1.0]);
+        let d = distances(&csr, 0);
         assert!(d[2].is_infinite() && d[3].is_infinite());
-        // The iterator also terminates without visiting them.
-        assert_eq!(TreeGrower::new(&h, &m, NodeId(0)).count(), 2);
+        // The grow also terminates without visiting them.
+        let mut scratch = CsrGrowerScratch::new(&csr);
+        let mut heap = IndexedMinHeap::new(csr.num_nodes());
+        assert_eq!(csr_steps(&csr, &mut scratch, &mut heap, 0).len(), 2);
     }
 
     #[test]
     fn zero_length_metric_collapses_distances() {
-        let (h, m) = chain(&[0.0, 0.0, 0.0]);
-        let d = hypergraph_distances(&h, &m, NodeId(3));
-        assert_eq!(d, vec![0.0; 4]);
-    }
-
-    /// Grows the full tree with the CSR kernel over `frontier`.
-    fn csr_steps<F: Frontier>(
-        csr: &CsrHypergraph,
-        scratch: &mut CsrGrowerScratch,
-        frontier: &mut F,
-        source: u32,
-    ) -> Vec<TreeStep> {
-        scratch.start(frontier, source);
-        std::iter::from_fn(|| scratch.step(csr, frontier)).collect()
+        let csr = chain(&[0.0, 0.0, 0.0]);
+        assert_eq!(distances(&csr, 3), vec![0.0; 4]);
     }
 
     #[test]
-    fn csr_kernel_matches_legacy_grower_step_for_step() {
-        let (h, m) = chain(&[3.0, 1.0, 1.0]);
-        let csr = CsrHypergraph::with_lengths(&h, m.lengths());
+    fn heap_and_dial_frontiers_settle_identically() {
+        let csr = chain(&[3.0, 1.0, 1.0]);
         let mut scratch = CsrGrowerScratch::new(&csr);
-        let mut heap = IndexedMinHeap::new(h.num_nodes());
-        for source in 0..h.num_nodes() as u32 {
-            let legacy: Vec<TreeStep> = TreeGrower::new(&h, &m, NodeId(source)).collect();
-            let csr_run = csr_steps(&csr, &mut scratch, &mut heap, source);
-            assert_eq!(csr_run, legacy, "source {source}");
+        let mut heap = IndexedMinHeap::new(csr.num_nodes());
+        let (width, buckets) = dial_plan_forced(csr.lengths(), 4096);
+        let mut dial = DialQueue::new(csr.num_nodes(), width, buckets);
+        for source in 0..csr.num_nodes() as u32 {
+            let by_heap = csr_steps(&csr, &mut scratch, &mut heap, source);
+            let by_dial = csr_steps(&csr, &mut scratch, &mut dial, source);
+            assert_eq!(by_dial, by_heap, "source {source}");
         }
     }
 
     #[test]
     fn csr_scratch_reuse_equals_fresh_across_same_shaped_graphs() {
-        // Satellite: a scratch carried from one graph to a *different*
+        // A scratch carried from one graph to a *different*
         // same-shaped graph must behave exactly like a fresh allocation.
-        let (h1, m1) = chain(&[3.0, 1.0, 1.0]);
-        let (h2, m2) = chain(&[0.5, 4.0, 0.25]);
-        let csr1 = CsrHypergraph::with_lengths(&h1, m1.lengths());
-        let csr2 = CsrHypergraph::with_lengths(&h2, m2.lengths());
+        let csr1 = chain(&[3.0, 1.0, 1.0]);
+        let csr2 = chain(&[0.5, 4.0, 0.25]);
 
         let mut reused = CsrGrowerScratch::new(&csr1);
-        let mut heap = IndexedMinHeap::new(h1.num_nodes());
+        let mut heap = IndexedMinHeap::new(csr1.num_nodes());
         // Dirty the scratch thoroughly on graph 1 (full grow + a partial
         // grow abandoned mid-way, leaving a non-empty frontier).
         csr_steps(&csr1, &mut reused, &mut heap, 0);
-        reused.start(&mut heap, 1);
+        reused.start(&csr1, &mut heap, 1);
         reused.step(&csr1, &mut heap);
 
-        for source in 0..h2.num_nodes() as u32 {
+        for source in 0..csr2.num_nodes() as u32 {
             let mut fresh = CsrGrowerScratch::new(&csr2);
-            let mut fresh_heap = IndexedMinHeap::new(h2.num_nodes());
+            let mut fresh_heap = IndexedMinHeap::new(csr2.num_nodes());
             let want = csr_steps(&csr2, &mut fresh, &mut fresh_heap, source);
             let got = csr_steps(&csr2, &mut reused, &mut heap, source);
             assert_eq!(got, want, "reused scratch diverged at source {source}");
@@ -505,7 +305,7 @@ mod tests {
 
     #[test]
     fn csr_scratch_reset_is_o_touched_and_restores_pristine_state() {
-        // Satellite: the touched lists must cover exactly the dirtied
+        // The touched lists must cover exactly the dirtied
         // slots, and reset must restore every slot without scanning the
         // untouched remainder.
         let mut b = HypergraphBuilder::with_unit_nodes(8);
@@ -522,7 +322,7 @@ mod tests {
         let mut heap = IndexedMinHeap::new(csr.num_nodes());
 
         // Partial grow: settle two nodes, then abandon.
-        s.start(&mut heap, 0);
+        s.start(&csr, &mut heap, 0);
         s.step(&csr, &mut heap);
         s.step(&csr, &mut heap);
 
@@ -564,21 +364,20 @@ mod tests {
 
             let mut rng = StdRng::seed_from_u64(seed);
             let p = RandomParams { nodes: 14, nets: 20, min_net_size: 2, max_net_size: 4 };
-            let h = random_hypergraph(p, &mut rng);
+            let h: Hypergraph = random_hypergraph(p, &mut rng);
             let lengths: Vec<f64> = (0..h.num_nets()).map(|_| rng.random_range(0.0..3.0)).collect();
-            let m = SpreadingMetric::from_lengths(lengths);
 
             // Star expansion with half-lengths per spoke.
             let mut edges = Vec::new();
             for e in h.nets() {
                 for &v in h.net_pins(e) {
-                    edges.push((v.index(), 14 + e.index(), m.length(e) / 2.0));
+                    edges.push((v.index(), 14 + e.index(), lengths[e.index()] / 2.0));
                 }
             }
             let g = htp_graph::Graph::from_edges(14 + h.num_nets(), &edges);
             let sp = htp_graph::dijkstra::shortest_paths(&g, 0);
 
-            let d = hypergraph_distances(&h, &m, NodeId(0));
+            let d = distances(&CsrHypergraph::with_lengths(&h, &lengths), 0);
             for (v, &got) in d.iter().enumerate().take(14) {
                 if sp.dist[v].is_infinite() {
                     prop_assert!(got.is_infinite());

@@ -1,10 +1,13 @@
 //! Boundary tests for `find_cut_budgeted`'s stride-256 budget check and
-//! for `GrowerScratch` reuse across graphs.
+//! for `CsrGrowerScratch` reuse across graphs.
 
+use htp_core::constraint::{probe_source_csr, CsrProbeScratch};
 use htp_core::findcut::find_cut_budgeted;
-use htp_core::sptree::{GrowerScratch, TreeGrower};
+use htp_core::sptree::CsrGrowerScratch;
 use htp_core::{Budget, CancelToken, Interrupt, SpreadingMetric};
-use htp_netlist::{Hypergraph, HypergraphBuilder, NodeId};
+use htp_graph::IndexedMinHeap;
+use htp_model::TreeSpec;
+use htp_netlist::{CsrHypergraph, Hypergraph, HypergraphBuilder, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -64,29 +67,44 @@ fn unlimited_budget_passes_the_stride_check() {
     assert!((1..=257).contains(&prefix));
 }
 
+fn unit_cycle(n: usize) -> Hypergraph {
+    let mut b = HypergraphBuilder::with_unit_nodes(n);
+    for i in 0..n as u32 {
+        b.add_net(1.0, [NodeId(i), NodeId((i + 1) % n as u32)])
+            .unwrap();
+    }
+    b.build().unwrap()
+}
+
 #[test]
 #[should_panic(expected = "scratch sized for a different node count")]
 fn scratch_from_a_smaller_graph_is_rejected() {
-    let small = unit_chain(4);
-    let big = unit_chain(5);
-    let metric = SpreadingMetric::from_lengths(vec![1.0; big.num_nets()]);
-    let mut scratch = GrowerScratch::new(&small);
-    let _ = TreeGrower::with_scratch(&big, &metric, NodeId(0), &mut scratch);
+    let small = CsrHypergraph::new(&unit_chain(4));
+    let big = CsrHypergraph::new(&unit_chain(5));
+    let mut scratch = CsrGrowerScratch::new(&small);
+    let mut heap = IndexedMinHeap::new(big.num_nodes());
+    scratch.start(&big, &mut heap, 0);
 }
 
 #[test]
 #[should_panic(expected = "scratch sized for a different net count")]
 fn scratch_with_a_different_net_count_is_rejected() {
     // Same node count, different net count: a chain vs. a cycle.
-    let chain = unit_chain(6);
-    let mut b = HypergraphBuilder::with_unit_nodes(6);
-    for i in 0..6u32 {
-        b.add_net(1.0, [NodeId(i), NodeId((i + 1) % 6)]).unwrap();
-    }
-    let cycle = b.build().unwrap();
-    let metric = SpreadingMetric::from_lengths(vec![1.0; cycle.num_nets()]);
-    let mut scratch = GrowerScratch::new(&chain);
-    let _ = TreeGrower::with_scratch(&cycle, &metric, NodeId(0), &mut scratch);
+    let chain = CsrHypergraph::new(&unit_chain(6));
+    let cycle = CsrHypergraph::new(&unit_cycle(6));
+    let mut scratch = CsrGrowerScratch::new(&chain);
+    let mut heap = IndexedMinHeap::new(cycle.num_nodes());
+    scratch.start(&cycle, &mut heap, 0);
+}
+
+#[test]
+#[should_panic(expected = "scratch sized for a different net count")]
+fn probe_scratch_for_another_graph_is_rejected() {
+    let chain = CsrHypergraph::new(&unit_chain(6));
+    let cycle = CsrHypergraph::new(&unit_cycle(6));
+    let spec = TreeSpec::new(vec![(2, 2, 1.0), (6, 3, 1.0)]).unwrap();
+    let mut scratch = CsrProbeScratch::new(&chain);
+    let _ = probe_source_csr(&cycle, &spec, NodeId(0), 1e-9, &mut scratch, false);
 }
 
 #[test]
@@ -100,20 +118,26 @@ fn scratch_reuse_across_same_shaped_graphs_matches_fresh_buffers() {
         b.add_net(1.0, [NodeId(0), NodeId(i)]).unwrap();
     }
     let star = b.build().unwrap();
-    let metric = SpreadingMetric::from_lengths((0..7).map(|i| 1.0 + i as f64).collect());
+    let lengths: Vec<f64> = (0..7).map(|i| 1.0 + i as f64).collect();
+    let (chain, star) = (
+        CsrHypergraph::with_lengths(&chain, &lengths),
+        CsrHypergraph::with_lengths(&star, &lengths),
+    );
+    let grow = |csr: &CsrHypergraph, scratch: &mut CsrGrowerScratch, source: u32| {
+        let mut heap = IndexedMinHeap::new(csr.num_nodes());
+        scratch.start(csr, &mut heap, source);
+        std::iter::from_fn(|| scratch.step(csr, &mut heap))
+            .map(|step| (step.node, step.dist))
+            .collect::<Vec<_>>()
+    };
 
-    let mut scratch = GrowerScratch::new(&chain);
+    let mut scratch = CsrGrowerScratch::new(&chain);
     for round in 0..3 {
-        for h in [&chain, &star] {
-            for s in 0..8 {
-                let source = NodeId(s);
-                let reused: Vec<_> = TreeGrower::with_scratch(h, &metric, source, &mut scratch)
-                    .map(|step| (step.node, step.dist))
-                    .collect();
-                let fresh: Vec<_> = TreeGrower::new(h, &metric, source)
-                    .map(|step| (step.node, step.dist))
-                    .collect();
-                assert_eq!(reused, fresh, "round {round}, source {s}");
+        for csr in [&chain, &star] {
+            for source in 0..8 {
+                let reused = grow(csr, &mut scratch, source);
+                let fresh = grow(csr, &mut CsrGrowerScratch::new(csr), source);
+                assert_eq!(reused, fresh, "round {round}, source {source}");
             }
         }
     }

@@ -133,6 +133,46 @@ pub fn warm_partition<R: Rng + ?Sized>(
     rng: &mut R,
     budget: &Budget,
 ) -> Result<WarmRun, EcoError> {
+    warm_partition_rounds(
+        new_h,
+        spec,
+        params,
+        policy,
+        prior_partition,
+        prior_lengths,
+        report,
+        rng,
+        budget,
+    )
+    .map(|(run, _)| run)
+}
+
+/// Sums per-metric-run stats into one aggregate.
+fn aggregate(runs: &[InjectionStats]) -> InjectionStats {
+    let mut agg = InjectionStats {
+        converged: true,
+        ..InjectionStats::default()
+    };
+    for stats in runs {
+        agg.accumulate(stats);
+    }
+    agg
+}
+
+/// [`warm_partition`], also returning the stats of every metric run its
+/// [`WarmRun::stats`] aggregates.
+#[allow(clippy::too_many_arguments)]
+fn warm_partition_rounds<R: Rng + ?Sized>(
+    new_h: &Hypergraph,
+    spec: &TreeSpec,
+    params: &PartitionerParams,
+    policy: &WarmPolicy,
+    prior_partition: &HierarchicalPartition,
+    prior_lengths: &[f64],
+    report: &TouchedReport,
+    rng: &mut R,
+    budget: &Budget,
+) -> Result<(WarmRun, Vec<InjectionStats>), EcoError> {
     if prior_lengths.len() != report.net_map.len() {
         return Err(EcoError::PriorMismatch {
             what: "prior lengths are not sized to the prior netlist's nets",
@@ -167,11 +207,7 @@ pub fn warm_partition<R: Rng + ?Sized>(
     let mut last_err = CoreError::EmptyNetlist;
     let mut interrupt: Option<Interrupt> = None;
     let mut metric_irq: Option<Interrupt> = None;
-    let mut faulted = false;
-    let mut agg = InjectionStats {
-        converged: true,
-        ..InjectionStats::default()
-    };
+    let mut round_stats = Vec::new();
     let attempts = params.constructions_per_metric.max(1);
 
     let rounds = params.iterations.max(1);
@@ -203,17 +239,7 @@ pub fn warm_partition<R: Rng + ?Sized>(
             },
         );
         let round_irq = stats.interrupt;
-        faulted |= stats.panicked_probes > 0 || stats.oracle_faults > 0;
-        agg.injections += stats.injections;
-        agg.rounds += stats.rounds;
-        agg.converged &= stats.converged;
-        agg.probes += stats.probes;
-        agg.wasted_probes += stats.wasted_probes;
-        agg.panicked_probes += stats.panicked_probes;
-        agg.deferrals += stats.deferrals;
-        agg.oracle_faults += stats.oracle_faults;
-        agg.probe_time += stats.probe_time;
-        agg.commit_time += stats.commit_time;
+        round_stats.push(stats);
 
         // As in the cold partitioner: constructions from an interrupted
         // metric are salvage work and run unbudgeted.
@@ -272,13 +298,14 @@ pub fn warm_partition<R: Rng + ?Sized>(
             break;
         }
     }
+    let mut agg = aggregate(&round_stats);
     agg.interrupt = interrupt.or(metric_irq);
 
     match best {
         Some((partition, cost, salvage, lengths)) => {
             let outcome = match agg.interrupt {
                 None => {
-                    if faulted {
+                    if agg.panicked_probes > 0 || agg.oracle_faults > 0 {
                         RunOutcome::Degraded
                     } else {
                         RunOutcome::Complete
@@ -287,7 +314,7 @@ pub fn warm_partition<R: Rng + ?Sized>(
                 Some(Interrupt::Cancelled) => RunOutcome::Cancelled,
                 Some(_) => RunOutcome::Degraded,
             };
-            Ok(WarmRun {
+            let run = WarmRun {
                 partition,
                 cost,
                 lengths,
@@ -295,7 +322,8 @@ pub fn warm_partition<R: Rng + ?Sized>(
                 stats: agg,
                 salvage,
                 warm: true,
-            })
+            };
+            Ok((run, round_stats))
         }
         None => match interrupt {
             Some(irq) => Err(EcoError::Core(CoreError::Interrupted(irq))),
@@ -316,25 +344,9 @@ fn cold_fallback<R: Rng + ?Sized>(
     report: &TouchedReport,
     rng: &mut R,
     budget: &Budget,
-) -> Result<WarmRun, EcoError> {
+) -> Result<(WarmRun, Vec<InjectionStats>), EcoError> {
     let run = FlowPartitioner::try_new(*params)?.run_with_budget(new_h, spec, rng, budget)?;
-    let mut agg = InjectionStats {
-        converged: true,
-        ..InjectionStats::default()
-    };
-    for rec in &run.result.history {
-        agg.injections += rec.stats.injections;
-        agg.rounds += rec.stats.rounds;
-        agg.converged &= rec.stats.converged;
-        agg.probes += rec.stats.probes;
-        agg.wasted_probes += rec.stats.wasted_probes;
-        agg.panicked_probes += rec.stats.panicked_probes;
-        agg.deferrals += rec.stats.deferrals;
-        agg.oracle_faults += rec.stats.oracle_faults;
-        agg.probe_time += rec.stats.probe_time;
-        agg.commit_time += rec.stats.commit_time;
-        agg.interrupt = agg.interrupt.or(rec.stats.interrupt);
-    }
+    let run_stats: Vec<InjectionStats> = run.result.history.iter().map(|r| r.stats).collect();
 
     // Salvaged attempts against the winning cold metric: untouched prior
     // subtrees may still beat freshly carved ones.
@@ -368,15 +380,16 @@ fn cold_fallback<R: Rng + ?Sized>(
         }
     }
 
-    Ok(WarmRun {
+    let warm_run = WarmRun {
         partition,
         cost: best_cost,
         lengths: run.result.metric.lengths().to_vec(),
         outcome: run.outcome,
-        stats: agg,
+        stats: aggregate(&run_stats),
         salvage: best_salvage,
         warm: false,
-    })
+    };
+    Ok((warm_run, run_stats))
 }
 
 /// A chained incremental-repartitioning session: holds the current
@@ -577,6 +590,63 @@ mod tests {
             assert_eq!(s.cost(), report.cost);
         }
         assert_eq!(s.hypergraph().num_nodes(), 19);
+    }
+
+    #[test]
+    fn multi_round_aggregate_is_the_field_wise_sum_of_its_rounds() {
+        let h = chain(32);
+        let spec = TreeSpec::full_tree(32, 2, 2, 1.25, 1.0).unwrap();
+        let params = PartitionerParams {
+            iterations: 3,
+            constructions_per_metric: 1,
+            ..PartitionerParams::default()
+        };
+        let s = EcoSession::bootstrap(h, spec, params, 3).unwrap();
+        let mut d = s.delta();
+        let v = d.add_node(1).unwrap();
+        d.add_net(1.0, vec![NodeId::new(5), v]).unwrap();
+        let applied = d.apply(s.hypergraph()).unwrap();
+        // Force the warm path whatever the instance size.
+        let policy = WarmPolicy {
+            cold_fallback_fraction: 1.0,
+            min_warm_nodes: 0,
+        };
+        let (run, rounds) = warm_partition_rounds(
+            &applied.hypergraph,
+            s.spec(),
+            &params,
+            &policy,
+            s.partition(),
+            s.lengths(),
+            &applied.report,
+            &mut StdRng::seed_from_u64(4),
+            &Budget::unlimited(),
+        )
+        .unwrap();
+        assert!(run.warm);
+        assert_eq!(rounds.len(), 3);
+        let sum = |f: fn(&InjectionStats) -> usize| rounds.iter().map(f).sum::<usize>();
+        let time = |f: fn(&InjectionStats) -> std::time::Duration| {
+            rounds.iter().map(f).sum::<std::time::Duration>()
+        };
+        let agg = run.stats;
+        assert_eq!(agg.injections, sum(|r| r.injections));
+        assert_eq!(agg.rounds, sum(|r| r.rounds));
+        assert_eq!(agg.probes, sum(|r| r.probes));
+        assert_eq!(agg.wasted_probes, sum(|r| r.wasted_probes));
+        assert_eq!(agg.panicked_probes, sum(|r| r.panicked_probes));
+        assert_eq!(agg.deferrals, sum(|r| r.deferrals));
+        assert_eq!(agg.oracle_faults, sum(|r| r.oracle_faults));
+        assert_eq!(agg.dial_rounds, sum(|r| r.dial_rounds));
+        assert_eq!(agg.heap_rounds, sum(|r| r.heap_rounds));
+        assert_eq!(agg.probe_time, time(|r| r.probe_time));
+        assert_eq!(agg.commit_time, time(|r| r.commit_time));
+        assert_eq!(agg.repricing_time, time(|r| r.repricing_time));
+        assert_eq!(agg.converged, rounds.iter().all(|r| r.converged));
+        assert_eq!(agg.interrupt, None);
+        // Every round is probed with exactly one of the two frontiers.
+        assert_eq!(agg.dial_rounds + agg.heap_rounds, agg.rounds);
+        assert!(agg.rounds > 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use htp_core::constraint::check_feasibility;
 use htp_core::SpreadingMetric;
 use htp_model::TreeSpec;
-use htp_netlist::Hypergraph;
+use htp_netlist::{CsrHypergraph, Hypergraph};
 
 use crate::separation::most_violated_row;
 use crate::simplex::solve;
@@ -84,10 +84,11 @@ pub fn lower_bound(
         rounds += 1;
         // Separate at the current point: one candidate row per source
         // node, keeping only the most violated ones.
+        let csr = CsrHypergraph::with_lengths(h, metric.lengths());
         let mut candidates: Vec<(f64, crate::separation::ConstraintRow)> = h
             .nodes()
             .filter_map(|v| {
-                most_violated_row(h, spec, &metric, v, params.tolerance).map(|row| {
+                most_violated_row(&csr, spec, v, params.tolerance).map(|row| {
                     let lhs: f64 = row
                         .coeffs
                         .iter()

@@ -140,11 +140,11 @@ mod tests {
         // valid restricted program, then strengthen it with rows separated
         // at the final metric (none exist: it is feasible), and verify the
         // primal/dual agreement on what we do have.
-        let zero = htp_core::SpreadingMetric::zeros(h.num_nets());
+        let zero = htp_netlist::CsrHypergraph::new(&h);
         let mut p =
             LinearProgram::new(h.nets().map(|e| h.net_capacity(e)).collect::<Vec<_>>()).unwrap();
         for v in h.nodes() {
-            if let Some(row) = crate::separation::most_violated_row(&h, &spec, &zero, v, 1e-9) {
+            if let Some(row) = crate::separation::most_violated_row(&zero, &spec, v, 1e-9) {
                 p.add_ge_constraint(row.coeffs, row.rhs).unwrap();
             }
         }

@@ -9,10 +9,10 @@
 //! LP a *relaxation* of (P1), which is what makes the cutting-plane lower
 //! bound valid.
 
-use htp_core::sptree::TreeGrower;
-use htp_core::SpreadingMetric;
+use htp_core::sptree::{CsrGrowerScratch, TreeStep};
+use htp_graph::IndexedMinHeap;
 use htp_model::{gfn, TreeSpec};
-use htp_netlist::{Hypergraph, NodeId};
+use htp_netlist::{CsrHypergraph, NodeId};
 
 /// One linearized spreading constraint: `Σ_e coeffs[e]·d(e) >= rhs`.
 #[derive(Clone, Debug, PartialEq)]
@@ -25,51 +25,59 @@ pub struct ConstraintRow {
     pub source: NodeId,
 }
 
-/// Grows the shortest-path tree from `source` under `metric` and returns a
-/// row for the **most violated** prefix (largest `g − lhs`), or `None` if
-/// every prefix satisfies its constraint within `tolerance`.
+/// Grows the shortest-path tree from `source` under the lengths in `csr`'s
+/// slab and returns a row for the **most violated** prefix (largest
+/// `g − lhs`), or `None` if every prefix satisfies its constraint within
+/// `tolerance`.
 pub fn most_violated_row(
-    h: &Hypergraph,
+    csr: &CsrHypergraph,
     spec: &TreeSpec,
-    metric: &SpreadingMetric,
     source: NodeId,
     tolerance: f64,
 ) -> Option<ConstraintRow> {
-    let steps: Vec<_> = TreeGrower::new(h, metric, source).collect();
+    let steps = full_tree(csr, source);
 
     // Find the prefix with the worst shortfall.
     let mut size = 0u64;
     let mut lhs = 0.0;
     let mut worst: Option<(usize, f64)> = None;
     for (k, step) in steps.iter().enumerate() {
-        size += h.node_size(step.node);
-        lhs += step.dist * h.node_size(step.node) as f64;
+        size += csr.node_size(step.node.0);
+        lhs += step.dist * csr.node_size(step.node.0) as f64;
         let shortfall = gfn::spreading_bound(spec, size) - lhs;
         if shortfall > tolerance && worst.is_none_or(|(_, w)| shortfall > w) {
             worst = Some((k, shortfall));
         }
     }
     let (k, _) = worst?;
-    Some(row_for_prefix(h, spec, &steps[..=k], source))
+    Some(row_for_prefix(csr, spec, &steps[..=k], source))
+}
+
+/// The full shortest-path tree from `source`, in settle order.
+fn full_tree(csr: &CsrHypergraph, source: NodeId) -> Vec<TreeStep> {
+    let mut grower = CsrGrowerScratch::new(csr);
+    let mut heap = IndexedMinHeap::new(csr.num_nodes());
+    grower.start(csr, &mut heap, source.0);
+    std::iter::from_fn(|| grower.step(csr, &mut heap)).collect()
 }
 
 /// Builds the δ row for an explicit tree prefix (settle order, source
 /// first).
 fn row_for_prefix(
-    h: &Hypergraph,
+    csr: &CsrHypergraph,
     spec: &TreeSpec,
-    prefix: &[htp_core::sptree::TreeStep],
+    prefix: &[TreeStep],
     source: NodeId,
 ) -> ConstraintRow {
     // subtree[u] accumulates the node sizes hanging at-or-below u; walking
     // the prefix in reverse settle order sees every child before its
     // parent.
-    let mut subtree = vec![0u64; h.num_nodes()];
-    let mut coeffs = vec![0.0; h.num_nets()];
+    let mut subtree = vec![0u64; csr.num_nodes()];
+    let mut coeffs = vec![0.0; csr.num_nets()];
     let mut size = 0u64;
     for step in prefix {
-        subtree[step.node.index()] = h.node_size(step.node);
-        size += h.node_size(step.node);
+        subtree[step.node.index()] = csr.node_size(step.node.0);
+        size += csr.node_size(step.node.0);
     }
     for step in prefix.iter().rev() {
         if let (Some(e), Some(parent)) = (step.via_net, step.parent) {
@@ -87,7 +95,7 @@ fn row_for_prefix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htp_netlist::HypergraphBuilder;
+    use htp_netlist::{Hypergraph, HypergraphBuilder};
 
     /// Path of 5 unit nodes; C_0 = 2 so prefixes of 3+ need spreading.
     fn fixture() -> (Hypergraph, TreeSpec) {
@@ -104,8 +112,8 @@ mod tests {
     #[test]
     fn zero_metric_yields_a_row_with_subtree_weights() {
         let (h, spec) = fixture();
-        let m = SpreadingMetric::zeros(h.num_nets());
-        let row = most_violated_row(&h, &spec, &m, NodeId(0), 1e-9).expect("violated");
+        let csr = CsrHypergraph::new(&h);
+        let row = most_violated_row(&csr, &spec, NodeId(0), 1e-9).expect("violated");
         // Worst prefix is the whole path: g(5) = 2·3 = 6.
         assert_eq!(row.rhs, 6.0);
         // From node 0, the tree is the path itself: δ of net i (between
@@ -118,15 +126,15 @@ mod tests {
     fn row_lhs_matches_distance_sum() {
         // Equation 6: Σ dist·s == Σ δ·d for the tree's own metric.
         let (h, spec) = fixture();
-        let m = SpreadingMetric::from_lengths(vec![0.3, 0.7, 0.1, 0.2]);
+        let csr = CsrHypergraph::with_lengths(&h, &[0.3, 0.7, 0.1, 0.2]);
         // Force a full-tree row by using a huge bound: grow from node 2.
-        let steps: Vec<_> = TreeGrower::new(&h, &m, NodeId(2)).collect();
-        let row = row_for_prefix(&h, &spec, &steps, NodeId(2));
+        let steps = full_tree(&csr, NodeId(2));
+        let row = row_for_prefix(&csr, &spec, &steps, NodeId(2));
         let lhs_by_delta: f64 = row
             .coeffs
             .iter()
-            .enumerate()
-            .map(|(e, &delta)| delta * m.length(htp_netlist::NetId::new(e)))
+            .zip(csr.lengths())
+            .map(|(&delta, &d)| delta * d)
             .sum();
         let lhs_by_dist: f64 = steps.iter().map(|s| s.dist).sum();
         assert!((lhs_by_delta - lhs_by_dist).abs() < 1e-9);
@@ -136,10 +144,10 @@ mod tests {
     fn feasible_metric_yields_no_row() {
         let (h, spec) = fixture();
         // Generous lengths: everything is well spread.
-        let m = SpreadingMetric::from_lengths(vec![10.0; 4]);
+        let csr = CsrHypergraph::with_lengths(&h, &[10.0; 4]);
         for v in h.nodes() {
             assert!(
-                most_violated_row(&h, &spec, &m, v, 1e-9).is_none(),
+                most_violated_row(&csr, &spec, v, 1e-9).is_none(),
                 "source {v}"
             );
         }
@@ -148,13 +156,13 @@ mod tests {
     #[test]
     fn violated_row_is_violated_by_the_current_metric() {
         let (h, spec) = fixture();
-        let m = SpreadingMetric::from_lengths(vec![0.1; 4]);
-        let row = most_violated_row(&h, &spec, &m, NodeId(4), 1e-9).unwrap();
+        let csr = CsrHypergraph::with_lengths(&h, &[0.1; 4]);
+        let row = most_violated_row(&csr, &spec, NodeId(4), 1e-9).unwrap();
         let lhs: f64 = row
             .coeffs
             .iter()
-            .enumerate()
-            .map(|(e, &delta)| delta * m.length(htp_netlist::NetId::new(e)))
+            .zip(csr.lengths())
+            .map(|(&delta, &d)| delta * d)
             .sum();
         assert!(
             lhs < row.rhs,

@@ -2,13 +2,16 @@
 //! generated workloads.
 
 use htp::baselines::hfm::{improve, HfmParams};
-use htp::core::constraint::{check_feasibility, find_violation, find_violation_weighted};
+use htp::core::constraint::{
+    check_feasibility, probe_source_csr, probe_source_weighted_csr, CsrProbeScratch,
+};
 use htp::core::construct::construct_partition;
 use htp::core::injector::{compute_spreading_metric, FlowParams};
 use htp::core::SpreadingMetric;
 use htp::model::{cost, validate, HierarchicalPartition, TreeSpec};
 use htp::netlist::gen::random::{random_hypergraph, RandomParams};
 use htp::netlist::io::hgr;
+use htp::netlist::CsrHypergraph;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,10 +94,11 @@ proptest! {
         let spec = TreeSpec::new(vec![(5, 2, 1.0), (10, 2, 1.0), (24, 2, 1.0)]).unwrap();
         let lengths: Vec<f64> =
             (0..h.num_nets()).map(|e| scale * ((e % 5) as f64) * 0.25).collect();
-        let metric = SpreadingMetric::from_lengths(lengths);
+        let csr = CsrHypergraph::with_lengths(&h, &lengths);
+        let mut scratch = CsrProbeScratch::new(&csr);
         for v in h.nodes() {
-            let a = find_violation(&h, &spec, &metric, v, 1e-9);
-            let b = find_violation_weighted(&h, &spec, &metric, v, 1e-9);
+            let a = probe_source_csr(&csr, &spec, v, 1e-9, &mut scratch, false).violation;
+            let b = probe_source_weighted_csr(&csr, &spec, v, 1e-9, &mut scratch, false).violation;
             match (&a, &b) {
                 (Some(x), Some(y)) => {
                     prop_assert_eq!(x.size, y.size, "source {}", v);
