@@ -7,6 +7,9 @@
 //! subsets (Claim 4 of Even et al.), so this oracle is both the separation
 //! routine of Algorithm 2 and the feasibility test behind Lemma 1/2.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use htp_graph::{DialQueue, Frontier, IndexedMinHeap};
 use htp_model::{gfn, TreeSpec};
 use htp_netlist::{CsrHypergraph, Hypergraph, NetId, NodeId};
@@ -66,7 +69,8 @@ impl ViolatingTree {
 
 /// Reusable buffers for the violation oracle: a [`CsrGrowerScratch`],
 /// *both* frontier implementations, and the probe-level bookkeeping
-/// (settle order, tree nets, subtree-weight accumulators). One scratch per
+/// (settle order, tree nets, subtree-weight accumulators, and the weighted
+/// order's pending heap and scanned prefix). One scratch per
 /// worker thread turns a probe into an allocation-free operation whose
 /// reset cost is proportional to the *touched* region of the previous
 /// probe only. Carrying the heap and the dial side by side lets the
@@ -95,6 +99,18 @@ struct ProbeBuffers {
     steps: Vec<TreeStep>,
     /// Distinct nets of the current tree, in first-use order.
     nets: Vec<NetId>,
+    /// Weighted order only: settled but not yet scanned nodes, a min-heap
+    /// on (`(dist + 1)·s(u)` as `f64` bits, settle index); the source is
+    /// keyed 0 so it always leads.
+    pending: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Weighted order only, per settle index: whether the step is in the
+    /// injection subtree (a member or a connector on a member's path).
+    in_subtree: Vec<bool>,
+    /// Weighted order only, per settle index: the member size, 0 for
+    /// connectors and unscanned nodes.
+    member_weight: Vec<f64>,
+    /// Weighted order only: the scanned prefix, in scan order.
+    nodes: Vec<NodeId>,
 }
 
 impl CsrProbeScratch {
@@ -110,6 +126,10 @@ impl CsrProbeScratch {
                 per_net: vec![0.0; csr.num_nets()],
                 steps: Vec::new(),
                 nets: Vec::new(),
+                pending: BinaryHeap::new(),
+                in_subtree: Vec::new(),
+                member_weight: Vec::new(),
+                nodes: Vec::new(),
             },
         }
     }
@@ -123,9 +143,9 @@ impl CsrProbeScratch {
 
 impl ProbeBuffers {
     /// Restores the pristine state in `O(touched)`. Called on probe entry,
-    /// so a probe that panicked mid-way self-heals on the next use — steps
-    /// and nets are pushed *before* their slot markers are written, which
-    /// makes the touched lists a complete record of every dirty slot.
+    /// so a probe that panicked or exited early self-heals on the next use
+    /// — steps and nets are pushed *before* their slot markers are written,
+    /// which makes the touched lists a complete record of every dirty slot.
     fn reset(&mut self) {
         for s in &self.steps {
             self.index_of[s.node.index()] = usize::MAX;
@@ -136,6 +156,10 @@ impl ProbeBuffers {
             self.per_net[e.index()] = 0.0;
         }
         self.nets.clear();
+        self.pending.clear();
+        self.in_subtree.clear();
+        self.member_weight.clear();
+        self.nodes.clear();
     }
 }
 
@@ -144,24 +168,28 @@ impl ProbeBuffers {
 pub struct ProbeReport {
     /// The first violated prefix, if any.
     pub violation: Option<ViolatingTree>,
-    /// Minimum relative slack `(lhs − g) / g` over the checked prefixes
-    /// with a positive bound (violated prefixes excluded).
-    /// `f64::INFINITY` when no such prefix was seen — every checked bound
-    /// was zero, or the very first prefix violated. The adaptive scheduler
-    /// keys its re-probe backoff on this.
+    /// Minimum relative slack `(lhs − g) / g` over the prefixes scanned
+    /// before the probe stopped, counting those with a positive bound
+    /// (violated prefixes excluded). `f64::INFINITY` when no such prefix
+    /// was seen — every scanned bound was zero, or the very first prefix
+    /// violated. A clear probe may stop at an early exit, so on a clear
+    /// report the value covers only the prefixes before that exit. The
+    /// injector reads it only from violated reports, keying the adaptive
+    /// scheduler's re-probe backoff on it.
     pub min_rel_slack: f64,
 }
 
 /// Computes the subtree weights `W(e)` of a grown tree: `steps` in settle
 /// order (so every parent precedes its children), `weight[i]` initialized
-/// to the member size of `steps[i]` (zero for pure connectors). Weights
-/// accumulate bottom-up; each node deposits its accumulated weight on the
-/// net it was reached through. `per_net` must be zeroed on entry; it is
-/// re-zeroed before returning (every deposit lands on a net in `nets`).
+/// to the member size of `steps[i]` (zero for pure connectors and for
+/// settled nodes outside the tree). Weights accumulate bottom-up, in place;
+/// each node deposits its accumulated weight on the net it was reached
+/// through. `per_net` must be zeroed on entry; it is re-zeroed before
+/// returning (every deposit lands on a net in `nets`).
 fn subtree_net_weights(
     steps: &[TreeStep],
     index_of: impl Fn(NodeId) -> usize,
-    mut weight: Vec<f64>,
+    weight: &mut [f64],
     nets: &[NetId],
     per_net: &mut [f64],
 ) -> Vec<f64> {
@@ -245,13 +273,35 @@ pub fn probe_source_csr(
 /// (Section 3.1) rather than raw distance, which is the correct reading of
 /// "k closest nodes" when node sizes differ. Ties keep settle order.
 ///
-/// This requires growing the full shortest-path tree first, so it costs a
-/// full Dijkstra per call. The prefix scan still exits once
-/// `lhs + tolerance >= g(s(V))` — the `lhs` accumulated along the weighted
-/// order also only ever grows, so no later prefix can fall below a bound
-/// capped by `g(s(V))`. The frontier is selected exactly as in
-/// [`probe_source_csr`]; since every frontier settles the identical
-/// sequence, the sort — and so the report — is frontier-independent.
+/// The prefixes are scanned while the shortest-path tree grows. Each
+/// settled node waits in a pending heap until the settle distance `D`
+/// proves that no unsettled node can precede it: settle distances never
+/// decrease and rounded `+` and `×` are monotone, so no unsettled key is
+/// below `(D + 1)·s_min`, and later settles take larger tie-break indices.
+/// Pending nodes keyed at or below that are scanned in key order, the rest
+/// once the frontier empties, so the scan is exactly the stable sort of the
+/// full tree by weighted distance.
+///
+/// A clear probe stops early once no later prefix can violate. Each later
+/// prefix adds pending nodes (distance `>= 0`) and then unsettled ones
+/// (distance `>= D`), so with the scanned prefix of size `k` satisfied,
+/// `S_p` the pending size and `g` fixed and convex, three sound exits apply:
+///
+/// * *slope exit*, after a settle: `D >= max_slope` and
+///   `lhs + tolerance − g(k) >= max_slope · S_near`, where `S_near` is the
+///   size of the pending nodes closer than `max_slope` — the distance-order
+///   exit of [`probe_source_csr`], charged for the near nodes not yet
+///   scanned;
+/// * *convex exit*, after a settle: `lhs + tolerance >= max(g(k + S_p),
+///   g(s(V)) − D·(s(V) − k − S_p))`, the two ends of the range where the
+///   worst later prefix of a convex `g` must sit;
+/// * after each scanned prefix: `lhs + tolerance >= g(s(V))`.
+///
+/// An exit only ends a probe the full grow would have reported clear, so
+/// every violation, with its `min_rel_slack`, equals the full grow's. The
+/// frontier is selected exactly as in [`probe_source_csr`]; since every
+/// frontier settles the identical sequence, the report is
+/// frontier-independent.
 ///
 /// # Panics
 ///
@@ -292,6 +342,7 @@ fn probe_csr_inner<F: Frontier>(
         per_net,
         steps,
         nets,
+        ..
     } = buf;
     let mut size = 0u64;
     let mut lhs = 0.0;
@@ -310,12 +361,12 @@ fn probe_csr_inner<F: Frontier>(
         }
         let bound = gfn::spreading_bound(spec, size);
         if lhs + tolerance < bound {
-            let weight = steps
+            let mut weight: Vec<f64> = steps
                 .iter()
                 .map(|s| csr.node_size(s.node.0) as f64)
                 .collect();
             let net_weights =
-                subtree_net_weights(steps, |v| index_of[v.index()], weight, nets, per_net);
+                subtree_net_weights(steps, |v| index_of[v.index()], &mut weight, nets, per_net);
             let nodes = steps.iter().map(|s| s.node).collect();
             let tree = ViolatingTree {
                 source,
@@ -345,10 +396,10 @@ fn probe_csr_inner<F: Frontier>(
     }
 }
 
-/// The weighted-order probe loop over a [`CsrHypergraph`] and any
-/// [`Frontier`]: grow the full tree, sort by `(dist + 1)·s(u)`, then scan
-/// prefixes in that order, connecting each member to the subtree along
-/// its shortest-path parents so the injection tree stays connected.
+/// The weighted-order probe loop of [`probe_source_weighted_csr`] over any
+/// [`Frontier`]: grow the tree, release settled nodes into the scan in
+/// `(dist + 1)·s(u)` order, and connect each scanned member to the subtree
+/// along its shortest-path parents so the injection tree stays connected.
 fn probe_weighted_inner<F: Frontier>(
     csr: &CsrHypergraph,
     spec: &TreeSpec,
@@ -357,7 +408,10 @@ fn probe_weighted_inner<F: Frontier>(
     buf: &mut ProbeBuffers,
     frontier: &mut F,
 ) -> ProbeReport {
-    let g_total = gfn::spreading_bound(spec, csr.total_size());
+    let total = csr.total_size();
+    let g_total = gfn::spreading_bound(spec, total);
+    let max_slope = max_bound_slope(spec, total);
+    let s_min = csr.min_node_size() as f64;
     let ProbeBuffers {
         grower,
         index_of,
@@ -365,109 +419,130 @@ fn probe_weighted_inner<F: Frontier>(
         per_net,
         steps,
         nets,
+        pending,
+        in_subtree,
+        member_weight,
+        nodes,
     } = buf;
     let size_of = |v: NodeId| csr.node_size(v.0);
-    grower.start(csr, frontier, source.0);
-    while let Some(step) = grower.step(csr, frontier) {
-        steps.push(step);
-        index_of[step.node.index()] = steps.len() - 1;
-    }
-    // Order by weighted distance, keeping the source first (it is always in
-    // its own subset).
-    let mut order: Vec<usize> = (1..steps.len()).collect();
-    order.sort_by(|&a, &b| {
-        let key = |i: usize| (steps[i].dist + 1.0) * size_of(steps[i].node) as f64;
-        key(a)
-            .partial_cmp(&key(b))
-            .expect("distances are not NaN")
-            .then(a.cmp(&b))
-    });
-
-    // `steps` always holds at least the source, which starts the subtree.
-    let mut in_subtree = vec![false; steps.len()];
-    in_subtree[0] = true;
-    let mut nodes = vec![source];
-    // Member sizes per settle index; connector-only nodes keep weight 0 so
-    // they relay — but do not add — subtree weight.
-    let mut member_weight = vec![0.0f64; steps.len()];
-    member_weight[0] = size_of(source) as f64;
-    let mut size = size_of(source);
+    let mut size = 0u64;
     let mut lhs = 0.0;
     let mut min_rel_slack = f64::INFINITY;
-
-    // Check the singleton prefix, then grow in weighted order.
-    let singleton_bound = gfn::spreading_bound(spec, size);
-    if lhs + tolerance < singleton_bound {
-        return ProbeReport {
-            violation: Some(ViolatingTree {
-                source,
-                nodes,
-                nets: Vec::new(),
-                net_weights: Vec::new(),
-                size,
-                lhs,
-                bound: singleton_bound,
-            }),
-            min_rel_slack,
+    // Total size of the pending nodes, and of those closer than `max_slope`.
+    let mut pending_size = 0u64;
+    let mut near_size = 0u64;
+    grower.start(csr, frontier, source.0);
+    loop {
+        let settled = grower.step(csr, frontier);
+        // Every pending key up to `release` precedes every unsettled node.
+        let release = match settled {
+            Some(step) => {
+                let i = steps.len();
+                steps.push(step);
+                index_of[step.node.index()] = i;
+                in_subtree.push(false);
+                member_weight.push(0.0);
+                let s = size_of(step.node);
+                // The source settles first and leads every prefix, whatever
+                // its weighted distance.
+                let key = if i == 0 {
+                    0.0
+                } else {
+                    (step.dist + 1.0) * s as f64
+                };
+                pending.push(Reverse((key.to_bits(), i)));
+                pending_size += s;
+                if step.dist < max_slope {
+                    near_size += s;
+                }
+                (step.dist + 1.0) * s_min
+            }
+            None => f64::INFINITY,
         };
-    }
-    if singleton_bound > 0.0 {
-        min_rel_slack = (lhs - singleton_bound) / singleton_bound;
-    }
-    for &i in &order {
-        let step = steps[i];
-        nodes.push(step.node);
-        member_weight[i] = size_of(step.node) as f64;
-        size += size_of(step.node);
-        lhs += step.dist * size_of(step.node) as f64;
-        // Connect the member to the already-built subtree along its SPT
-        // path, recording every net on the way.
-        let mut cur = i;
-        while !in_subtree[cur] {
-            in_subtree[cur] = true;
-            let hop = &steps[cur];
-            if let Some(e) = hop.via_net {
-                if !net_in_tree[e.index()] {
-                    nets.push(e);
-                    net_in_tree[e.index()] = true;
+        while let Some(&Reverse((key, i))) = pending.peek() {
+            if f64::from_bits(key) > release {
+                break;
+            }
+            pending.pop();
+            let step = steps[i];
+            let s = size_of(step.node);
+            pending_size -= s;
+            if step.dist < max_slope {
+                near_size -= s;
+            }
+            nodes.push(step.node);
+            member_weight[i] = s as f64;
+            size += s;
+            lhs += step.dist * s as f64;
+            // Connect the member to the already-built subtree along its SPT
+            // path, recording every net on the way.
+            let mut cur = i;
+            while !in_subtree[cur] {
+                in_subtree[cur] = true;
+                let hop = &steps[cur];
+                if let Some(e) = hop.via_net {
+                    if !net_in_tree[e.index()] {
+                        nets.push(e);
+                        net_in_tree[e.index()] = true;
+                    }
+                }
+                match hop.parent {
+                    Some(p) => cur = index_of[p.index()],
+                    None => break,
                 }
             }
-            match hop.parent {
-                Some(p) => cur = index_of[p.index()],
-                None => break,
+            let bound = gfn::spreading_bound(spec, size);
+            if lhs + tolerance < bound {
+                let net_weights = subtree_net_weights(
+                    steps,
+                    |v| index_of[v.index()],
+                    member_weight,
+                    nets,
+                    per_net,
+                );
+                let tree = ViolatingTree {
+                    source,
+                    nodes: nodes.clone(),
+                    nets: nets.clone(),
+                    net_weights,
+                    size,
+                    lhs,
+                    bound,
+                };
+                debug_assert!(
+                    {
+                        let repriced: f64 = (tree.nets.iter().zip(&tree.net_weights))
+                            .map(|(e, w)| csr.net_len(e.0) * w)
+                            .sum();
+                        (repriced - lhs).abs() <= 1e-6 * lhs.max(1.0)
+                    },
+                    "net weights must reconstruct the lhs {lhs}"
+                );
+                return ProbeReport {
+                    violation: Some(tree),
+                    min_rel_slack,
+                };
+            }
+            if bound > 0.0 {
+                min_rel_slack = min_rel_slack.min((lhs - bound) / bound);
+            }
+            if lhs + tolerance >= g_total {
+                return ProbeReport {
+                    violation: None,
+                    min_rel_slack,
+                };
             }
         }
-        let bound = gfn::spreading_bound(spec, size);
-        if lhs + tolerance < bound {
-            let net_weights =
-                subtree_net_weights(steps, |v| index_of[v.index()], member_weight, nets, per_net);
-            let tree = ViolatingTree {
-                source,
-                nodes,
-                nets: nets.clone(),
-                net_weights,
-                size,
-                lhs,
-                bound,
-            };
-            debug_assert!(
-                {
-                    let repriced: f64 = (tree.nets.iter().zip(&tree.net_weights))
-                        .map(|(e, w)| csr.net_len(e.0) * w)
-                        .sum();
-                    (repriced - lhs).abs() <= 1e-6 * lhs.max(1.0)
-                },
-                "net weights must reconstruct the lhs {lhs}"
-            );
-            return ProbeReport {
-                violation: Some(tree),
-                min_rel_slack,
-            };
-        }
-        if bound > 0.0 {
-            min_rel_slack = min_rel_slack.min((lhs - bound) / bound);
-        }
-        if lhs + tolerance >= g_total {
+        let Some(step) = settled else { break };
+        // Early exits: every later prefix is provably satisfied.
+        let d = step.dist;
+        let with_pending = size + pending_size;
+        let slope_exit = d >= max_slope
+            && lhs + tolerance - gfn::spreading_bound(spec, size) >= max_slope * near_size as f64;
+        let convex_exit = lhs + tolerance
+            >= gfn::spreading_bound(spec, with_pending)
+                .max(g_total - d * (total - with_pending) as f64);
+        if slope_exit || convex_exit {
             break;
         }
     }
@@ -488,9 +563,13 @@ pub struct FeasibilityReport {
     pub worst_source: Option<NodeId>,
 }
 
-/// Checks every constraint of (P1) — all sources, all prefixes — against
-/// `metric`. `O(n · (n + p) log n)`; intended for validation and the LP
-/// machinery, not for inner loops.
+/// Checks the spreading constraints of (P1) from every source against
+/// `metric`, over the *distance-order* prefixes `S(v, k)` of
+/// [`probe_source_csr`]. For mixed node sizes this is not the weighted
+/// `(dist + 1)·s(u)` prefix family that Algorithm 2 enforces through
+/// [`probe_source_weighted_csr`], so a metric that family accepts can
+/// still show a shortfall here. `O(n · (n + p) log n)`; intended for
+/// validation and the LP machinery, not for inner loops.
 pub fn check_feasibility(
     h: &Hypergraph,
     spec: &TreeSpec,
@@ -687,6 +766,82 @@ mod tests {
         let t = probe(&h, &spec, &m, NodeId(0), true).expect("violated");
         assert_eq!(t.nodes, vec![NodeId(0), NodeId(2)]);
         assert_eq!(t.nets.len(), 2, "both path nets are needed: {:?}", t.nets);
+    }
+
+    /// Builds a hypergraph from node sizes and `(length, pins)` nets, then
+    /// probes `source` in weighted order (heap frontier). Returns the
+    /// violation with the number of nodes the probe settled and scanned.
+    fn weighted_probe_counts(
+        sizes: &[u64],
+        nets: &[(f64, &[u32])],
+        spec: &TreeSpec,
+    ) -> (Option<ViolatingTree>, usize, usize) {
+        let mut b = HypergraphBuilder::new();
+        for &s in sizes {
+            b.add_node(s);
+        }
+        for (_, pins) in nets {
+            b.add_net(1.0, pins.iter().map(|&v| NodeId(v))).unwrap();
+        }
+        let lengths: Vec<f64> = nets.iter().map(|&(d, _)| d).collect();
+        let csr = CsrHypergraph::with_lengths(&b.build().unwrap(), &lengths);
+        let mut scratch = CsrProbeScratch::new(&csr);
+        let report = probe_source_weighted_csr(&csr, spec, NodeId(0), 1e-9, &mut scratch, false);
+        (
+            report.violation,
+            scratch.buf.steps.len(),
+            scratch.buf.nodes.len(),
+        )
+    }
+
+    #[test]
+    fn weighted_slope_exit_stops_a_clear_probe() {
+        // g(x) = 2·[0.5·(x−1)⁺ + 2·(x−3)⁺], so max_slope = 5 on s(V) = 5.
+        // Node 1 (size 2) settles at D = 5 but stays pending (key 12 > 6).
+        // The slope exit fires there: D >= 5 and no pending node is nearer
+        // than 5. The convex exit cannot: g(k + S_p) = g(3) = 2 > lhs = 0.
+        let spec = TreeSpec::new(vec![(1, 2, 0.5), (3, 2, 2.0), (16, 2, 1.0)]).unwrap();
+        let (violation, settled, scanned) =
+            weighted_probe_counts(&[1, 2, 1, 1], &[(5.0, &[0, 1, 2]), (15.0, &[2, 3])], &spec);
+        assert!(violation.is_none());
+        assert_eq!((settled, scanned), (2, 1), "4 nodes are reachable");
+    }
+
+    #[test]
+    fn weighted_convex_exit_stops_a_clear_probe() {
+        // Same g, now on s(V) = 7: g(7) = 22 and max_slope = 5. Node 1
+        // settles at D = 4 and is scanned at once: k = 2, lhs = 4 >= g(2).
+        // Every later node lies at distance >= 4, so a later prefix of
+        // size x has lhs >= 4 + 4·(x − 2), and by convexity g(x) − 4·(x − 2)
+        // peaks at an end of [2, 7]: max(g(2), 22 − 4·5) = 2 <= lhs. The
+        // convex exit fires; the slope exit needs D >= 5, and g(s(V)) is
+        // far above lhs.
+        let spec = TreeSpec::new(vec![(1, 2, 0.5), (3, 2, 2.0), (16, 2, 1.0)]).unwrap();
+        let (violation, settled, scanned) = weighted_probe_counts(
+            &[1, 1, 1, 1, 1, 2],
+            &[(4.0, &[0, 1]), (4.0, &[1, 2, 3, 4, 5])],
+            &spec,
+        );
+        assert!(violation.is_none());
+        assert_eq!((settled, scanned), (2, 2), "6 nodes are reachable");
+    }
+
+    #[test]
+    fn weighted_total_bound_exit_stops_a_clear_probe() {
+        // g(x) = 2·[0.1·(x−2)⁺ + (x−6)⁺], so g(s(V) = 7) = 3 and
+        // max_slope = 2.2. Nodes 1 and 2 (size 2, key 5) settle at 1.5 and
+        // wait; node 3 settles at 4 and releases all three (keys 5). The
+        // first of them lifts lhs to 3 = g(s(V)), which ends the probe
+        // mid-release. Before that, D = 1.5 is below max_slope and the
+        // convex bounds g(3) = 0.2 and g(5) = 0.6 exceed lhs = 0.
+        let spec = TreeSpec::new(vec![(2, 2, 0.1), (6, 2, 1.0), (16, 2, 1.0)]).unwrap();
+        let (violation, settled, scanned) = weighted_probe_counts(
+            &[1, 2, 2, 1, 1],
+            &[(1.5, &[0, 1, 2]), (4.0, &[0, 3]), (10.0, &[3, 4])],
+            &spec,
+        );
+        assert!(violation.is_none());
+        assert_eq!((settled, scanned), (4, 2), "5 nodes are reachable");
     }
 
     #[test]

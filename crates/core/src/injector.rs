@@ -198,8 +198,9 @@ impl FlowParams {
 ///
 /// Equality compares the deterministic counters only — the wall-clock
 /// fields ([`probe_time`](InjectionStats::probe_time),
-/// [`commit_time`](InjectionStats::commit_time)) vary run to run and are
-/// excluded, so determinism tests can `assert_eq!` whole stats.
+/// [`commit_time`](InjectionStats::commit_time),
+/// [`repricing_time`](InjectionStats::repricing_time)) vary run to run and
+/// are excluded, so determinism tests can `assert_eq!` whole stats.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct InjectionStats {
     /// Number of flow injections performed (violating trees committed).

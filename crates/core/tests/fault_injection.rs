@@ -10,6 +10,7 @@ use htp_core::partitioner::{FlowPartitioner, PartitionerParams};
 use htp_core::{Budget, FaultPlan, Interrupt, RunOutcome};
 use htp_model::{validate, TreeSpec};
 use htp_netlist::gen::clustered::{clustered_hypergraph, ClusteredParams};
+use htp_netlist::{Hypergraph, HypergraphBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,6 +35,28 @@ fn silence_panic_hook() {
     });
 }
 
+/// `h` with every 7th node resized to 2, so the metric probes run in the
+/// weighted `(dist + 1)·s(u)` prefix order instead of distance order.
+fn with_mixed_sizes(h: &Hypergraph) -> Hypergraph {
+    let mut b = HypergraphBuilder::new();
+    for v in h.nodes() {
+        b.add_node(if v.index() % 7 == 0 { 2 } else { 1 });
+    }
+    for e in h.nets() {
+        b.add_net(h.net_capacity(e), h.net_pins(e).iter().copied())
+            .expect("pins are unchanged");
+    }
+    b.build().expect("sizes are positive")
+}
+
+/// A clustered instance from `seed`, unit-size and mixed-size.
+fn unit_and_mixed(seed: u64) -> [Hypergraph; 2] {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let h = clustered_hypergraph(ClusteredParams::default(), &mut rng).hypergraph;
+    let mixed = with_mixed_sizes(&h);
+    [h, mixed]
+}
+
 fn params(threads: usize) -> PartitionerParams {
     let mut p = PartitionerParams {
         iterations: 2,
@@ -46,76 +69,75 @@ fn params(threads: usize) -> PartitionerParams {
 
 /// Acceptance (a): deadline expiry in the middle of a metric computation —
 /// forced deterministically at round 2 — degrades gracefully to a valid
-/// best-so-far partition, identically at every thread count.
+/// best-so-far partition, identically at every thread count, in either
+/// prefix order.
 #[test]
 fn forced_expiry_mid_metric_degrades_deterministically() {
-    let mut rng = StdRng::seed_from_u64(1);
-    let inst = clustered_hypergraph(ClusteredParams::default(), &mut rng);
-    let h = &inst.hypergraph;
-    let spec = TreeSpec::full_tree(h.total_size(), 2, 2, 1.2, 1.0).unwrap();
+    for h in &unit_and_mixed(1) {
+        let spec = TreeSpec::full_tree(h.total_size(), 2, 2, 1.2, 1.0).unwrap();
+        let mut outputs = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let plan = FaultPlan::new().expire_at_round(2);
+            let budget = Budget::unlimited().with_faults(plan);
+            let mut run_rng = StdRng::seed_from_u64(9);
+            let run = FlowPartitioner::try_new(params(threads))
+                .unwrap()
+                .run_with_budget(h, &spec, &mut run_rng, &budget)
+                .expect("salvage succeeds on this instance");
 
-    let mut outputs = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let plan = FaultPlan::new().expire_at_round(2);
-        let budget = Budget::unlimited().with_faults(plan);
-        let mut run_rng = StdRng::seed_from_u64(9);
-        let run = FlowPartitioner::try_new(params(threads))
-            .unwrap()
-            .run_with_budget(h, &spec, &mut run_rng, &budget)
-            .expect("salvage succeeds on this instance");
-
-        assert_eq!(run.outcome, RunOutcome::Degraded, "threads={threads}");
-        validate::validate(h, &spec, &run.result.partition).unwrap();
-        let stats = &run.result.history[0].stats;
-        assert_eq!(stats.interrupt, Some(Interrupt::Deadline));
-        assert!(!stats.converged);
-        outputs.push((run.result.partition.clone(), run.result.cost));
-    }
-    for (p, c) in &outputs[1..] {
-        assert_eq!(
-            *p, outputs[0].0,
-            "degraded output must not depend on threads"
-        );
-        assert_eq!(c.to_bits(), outputs[0].1.to_bits());
+            let what = format!("unit sizes {}, threads={threads}", h.has_unit_sizes());
+            assert_eq!(run.outcome, RunOutcome::Degraded, "{what}");
+            validate::validate(h, &spec, &run.result.partition).unwrap();
+            let stats = &run.result.history[0].stats;
+            assert_eq!(stats.interrupt, Some(Interrupt::Deadline), "{what}");
+            assert!(!stats.converged, "{what}");
+            outputs.push((run.result.partition.clone(), run.result.cost));
+        }
+        for (p, c) in &outputs[1..] {
+            assert_eq!(
+                *p, outputs[0].0,
+                "degraded output must not depend on threads"
+            );
+            assert_eq!(c.to_bits(), outputs[0].1.to_bits());
+        }
     }
 }
 
 /// Acceptance (b): a seeded probe panic is contained — the run completes,
 /// the panic is recorded in `InjectionStats`, and the final metric is
-/// unaffected by the worker thread count.
+/// unaffected by the worker thread count, in either prefix order.
 #[test]
 fn seeded_probe_panic_is_contained_and_recorded() {
     silence_panic_hook();
-    let mut rng = StdRng::seed_from_u64(2);
-    let inst = clustered_hypergraph(ClusteredParams::default(), &mut rng);
-    let h = &inst.hypergraph;
-    let spec = TreeSpec::full_tree(h.total_size(), 2, 2, 1.2, 1.0).unwrap();
+    for h in &unit_and_mixed(2) {
+        let spec = TreeSpec::full_tree(h.total_size(), 2, 2, 1.2, 1.0).unwrap();
+        let mut metrics = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let plan = FaultPlan::new().panic_at_probe(3).panic_at_probe(17);
+            let budget = Budget::unlimited().with_faults(plan);
+            let flow = FlowParams {
+                threads,
+                ..FlowParams::default()
+            };
+            let mut run_rng = StdRng::seed_from_u64(4);
+            let (metric, stats) =
+                compute_spreading_metric_budgeted(h, &spec, flow, &mut run_rng, &budget);
 
-    let mut metrics = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let plan = FaultPlan::new().panic_at_probe(3).panic_at_probe(17);
-        let budget = Budget::unlimited().with_faults(plan);
-        let flow = FlowParams {
-            threads,
-            ..FlowParams::default()
-        };
-        let mut run_rng = StdRng::seed_from_u64(4);
-        let (metric, stats) =
-            compute_spreading_metric_budgeted(h, &spec, flow, &mut run_rng, &budget);
-
-        assert_eq!(stats.panicked_probes, 2, "threads={threads}");
-        assert_eq!(
-            stats.interrupt, None,
-            "a contained panic is not an interrupt"
-        );
-        assert!(
-            stats.converged,
-            "the panicked nodes are re-probed and converge"
-        );
-        metrics.push(metric);
-    }
-    for m in &metrics[1..] {
-        assert_eq!(*m, metrics[0], "metric must not depend on threads");
+            let what = format!("unit sizes {}, threads={threads}", h.has_unit_sizes());
+            assert_eq!(stats.panicked_probes, 2, "{what}");
+            assert_eq!(
+                stats.interrupt, None,
+                "a contained panic is not an interrupt"
+            );
+            assert!(
+                stats.converged,
+                "the panicked nodes are re-probed and converge ({what})"
+            );
+            metrics.push(metric);
+        }
+        for m in &metrics[1..] {
+            assert_eq!(*m, metrics[0], "metric must not depend on threads");
+        }
     }
 }
 

@@ -21,6 +21,11 @@
 //!    4, and 8 probe threads crossed with forced-heap and forced-dial
 //!    frontiers, including the mixed-size (weighted-order) star family.
 //!
+//! The weighted-order probe scans prefixes while its tree grows and stops
+//! clear probes early, so it is also pinned against a reference that grows
+//! the full tree, sorts it by weighted distance and scans that: violations
+//! (and their `min_rel_slack`) must be Debug-equal, clear reports clear.
+//!
 //! `f64` equality throughout is exact (`==` / `assert_eq!` on the raw
 //! values, debug-formatted reports for the nested structs) — "close
 //! enough" would defeat the purpose of pinning the kernels together. The
@@ -28,15 +33,16 @@
 //! in a different order.
 
 use htp_core::constraint::{
-    probe_source_csr, probe_source_weighted_csr, CsrProbeScratch, ProbeReport,
+    probe_source_csr, probe_source_weighted_csr, CsrProbeScratch, ProbeReport, ViolatingTree,
 };
-use htp_core::injector::{FlowParams, FrontierMode};
+use htp_core::injector::{compute_spreading_metric, FlowParams, FrontierMode};
 use htp_core::partitioner::{FlowPartitioner, PartitionerParams};
 use htp_core::sptree::{CsrGrowerScratch, TreeStep};
 use htp_core::SpreadingMetric;
 use htp_graph::{dial_plan_forced, DialQueue, Frontier, IndexedMinHeap};
-use htp_model::TreeSpec;
-use htp_netlist::{CsrHypergraph, Hypergraph, HypergraphBuilder, NodeId};
+use htp_model::{gfn, TreeSpec};
+use htp_netlist::gen::rent::{rent_circuit, RentParams};
+use htp_netlist::{CsrHypergraph, Hypergraph, HypergraphBuilder, NetId, NodeId};
 use htp_verify::audit::{shortest_distances_csr, spreading_bound, DistanceScratch};
 use htp_verify::gen::all_families;
 use proptest::prelude::*;
@@ -206,6 +212,216 @@ fn probe_reports_agree_on_every_conformance_family() {
     }
 }
 
+/// The weighted-order probe as a full grow: settle every reachable node,
+/// stable-sort by `(dist + 1)·s(u)` (ties keep settle order), then scan
+/// prefixes with the source first, relaying subtree weight through
+/// connector nodes and stopping only at the `g(s(V))` exit. This is the
+/// reference the incremental probe, with its release rule and early
+/// exits, must reproduce.
+fn full_grow_weighted_probe(
+    csr: &CsrHypergraph,
+    spec: &TreeSpec,
+    source: NodeId,
+    tolerance: f64,
+) -> ProbeReport {
+    let mut grower = CsrGrowerScratch::new(csr);
+    let mut heap = IndexedMinHeap::new(csr.num_nodes());
+    grower.start(csr, &mut heap, source.0);
+    let steps: Vec<TreeStep> = std::iter::from_fn(|| grower.step(csr, &mut heap)).collect();
+    let mut index_of = vec![usize::MAX; csr.num_nodes()];
+    for (i, s) in steps.iter().enumerate() {
+        index_of[s.node.index()] = i;
+    }
+    let size_of = |i: usize| csr.node_size(steps[i].node.0);
+    let key = |i: usize| (steps[i].dist + 1.0) * size_of(i) as f64;
+    let mut order: Vec<usize> = (1..steps.len()).collect();
+    order.sort_by(|&a, &b| key(a).total_cmp(&key(b)));
+
+    let g_total = gfn::spreading_bound(spec, csr.total_size());
+    let mut in_subtree = vec![false; steps.len()];
+    in_subtree[0] = true;
+    let mut member_weight = vec![0.0f64; steps.len()];
+    member_weight[0] = size_of(0) as f64;
+    let mut net_in_tree = vec![false; csr.num_nets()];
+    let mut nets: Vec<NetId> = Vec::new();
+    let mut nodes = vec![source];
+    let mut size = size_of(0);
+    let mut lhs = 0.0;
+    let mut min_rel_slack = f64::INFINITY;
+    let mut bound = gfn::spreading_bound(spec, size);
+    let mut scanned = order.iter();
+    loop {
+        if lhs + tolerance < bound {
+            // Subtree weights, bottom-up in reverse settle order.
+            let mut weight = member_weight.clone();
+            let mut per_net = vec![0.0f64; csr.num_nets()];
+            for i in (1..steps.len()).rev() {
+                if weight[i] == 0.0 {
+                    continue;
+                }
+                if let (Some(e), Some(p)) = (steps[i].via_net, steps[i].parent) {
+                    per_net[e.index()] += weight[i];
+                    weight[index_of[p.index()]] += weight[i];
+                }
+            }
+            let net_weights = nets.iter().map(|e| per_net[e.index()]).collect();
+            let tree = ViolatingTree {
+                source,
+                nodes,
+                nets,
+                net_weights,
+                size,
+                lhs,
+                bound,
+            };
+            return ProbeReport {
+                violation: Some(tree),
+                min_rel_slack,
+            };
+        }
+        if bound > 0.0 {
+            min_rel_slack = min_rel_slack.min((lhs - bound) / bound);
+        }
+        if lhs + tolerance >= g_total {
+            break;
+        }
+        let Some(&i) = scanned.next() else { break };
+        nodes.push(steps[i].node);
+        member_weight[i] = size_of(i) as f64;
+        size += size_of(i);
+        lhs += steps[i].dist * size_of(i) as f64;
+        let mut cur = i;
+        while !in_subtree[cur] {
+            in_subtree[cur] = true;
+            if let Some(e) = steps[cur].via_net {
+                if !net_in_tree[e.index()] {
+                    nets.push(e);
+                    net_in_tree[e.index()] = true;
+                }
+            }
+            match steps[cur].parent {
+                Some(p) => cur = index_of[p.index()],
+                None => break,
+            }
+        }
+        bound = gfn::spreading_bound(spec, size);
+    }
+    ProbeReport {
+        violation: None,
+        min_rel_slack,
+    }
+}
+
+/// Probes every source with the incremental weighted probe under both
+/// frontiers, one scratch reused throughout so each probe starts from the
+/// leftovers of an early exit, and compares each report with
+/// [`full_grow_weighted_probe`]. Returns how many sources violate.
+fn weighted_probe_matches_full_grow(
+    h: &Hypergraph,
+    spec: &TreeSpec,
+    lengths: &[f64],
+    tolerance: f64,
+) -> Result<usize, String> {
+    let csr = CsrHypergraph::with_lengths(h, lengths);
+    let mut scratch = CsrProbeScratch::new(&csr);
+    let (width, buckets) = dial_plan_forced(csr.lengths(), 4096);
+    scratch.plan_dial(width, buckets);
+    let mut violated = 0;
+    for v in h.nodes() {
+        let want = full_grow_weighted_probe(&csr, spec, v, tolerance);
+        for use_dial in [false, true] {
+            let got = probe_source_weighted_csr(&csr, spec, v, tolerance, &mut scratch, use_dial);
+            match (&got.violation, &want.violation) {
+                (Some(g), Some(w)) => {
+                    if format!("{g:?}") != format!("{w:?}") {
+                        return Err(format!("{v:?}: tree {g:?} vs full grow {w:?}"));
+                    }
+                    if got.min_rel_slack.to_bits() != want.min_rel_slack.to_bits() {
+                        return Err(format!(
+                            "{v:?}: min_rel_slack {} vs full grow {}",
+                            got.min_rel_slack, want.min_rel_slack
+                        ));
+                    }
+                }
+                (None, None) => {}
+                (g, w) => return Err(format!("{v:?}: {g:?} vs full grow {w:?}")),
+            }
+        }
+        violated += usize::from(want.violation.is_some());
+    }
+    Ok(violated)
+}
+
+#[test]
+fn weighted_probe_matches_the_full_grow_on_every_conformance_family() {
+    for inst in all_families(SEED) {
+        let h = &inst.hypergraph;
+        let lengths = synthetic_lengths(h.num_nets());
+        if let Err(e) = weighted_probe_matches_full_grow(h, &inst.spec, &lengths, 1e-9) {
+            panic!("{}: {e}", inst.family);
+        }
+    }
+}
+
+/// A 2000-node Rent netlist with every 7th node of size 2 (the ECO
+/// benchmark's mixed sizes), probed from every source at the injector's
+/// initial `ε` lengths, at its converged lengths and at half of those:
+/// nearly every source violates (1965), none does, and some do (213).
+#[test]
+fn weighted_probe_matches_the_full_grow_on_a_mixed_size_rent_netlist() {
+    let rent = rent_circuit(
+        RentParams {
+            nodes: 2000,
+            primary_inputs: 125,
+            locality: 0.8,
+            ..RentParams::default()
+        },
+        &mut StdRng::seed_from_u64(SEED),
+    );
+    let sizes: Vec<u64> = rent
+        .nodes()
+        .map(|v| if v.index() % 7 == 0 { 2 } else { 1 })
+        .collect();
+    let nets: Vec<(f64, Vec<usize>)> = rent
+        .nets()
+        .map(|e| {
+            let pins = rent.net_pins(e).iter().map(|v| v.index()).collect();
+            (rent.net_capacity(e), pins)
+        })
+        .collect();
+    let h = build_lenient(&sizes, &nets);
+    let spec = TreeSpec::full_tree(h.total_size(), 4, 2, 1.1, 1.0).expect("spec is valid");
+    let params = FlowParams {
+        threads: 2,
+        ..FlowParams::default()
+    };
+    // Solver seed 5 converges to a metric whose halving leaves a tenth of
+    // the sources violated, so both probe outcomes stay in play.
+    let (metric, stats) =
+        compute_spreading_metric(&h, &spec, params, &mut StdRng::seed_from_u64(5));
+    assert!(stats.converged);
+    let epsilon: Vec<f64> = h
+        .nets()
+        .map(|e| (params.alpha * params.epsilon / h.net_capacity(e)).exp() - 1.0)
+        .collect();
+    let converged = metric.lengths().to_vec();
+    let half: Vec<f64> = converged.iter().map(|d| d / 2.0).collect();
+    let n = h.num_nodes();
+    for (what, lengths, expect) in [
+        ("epsilon", epsilon, n * 9 / 10..n + 1),
+        ("converged", converged, 0..1),
+        ("half", half, 1..n),
+    ] {
+        match weighted_probe_matches_full_grow(&h, &spec, &lengths, params.tolerance) {
+            Ok(violated) => assert!(
+                expect.contains(&violated),
+                "{what}: {violated} of {n} sources violate, expected {expect:?}"
+            ),
+            Err(e) => panic!("{what} lengths: {e}"),
+        }
+    }
+}
+
 /// FNV-1a, as in the conformance harness.
 fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
@@ -338,5 +554,7 @@ proptest! {
             .collect();
         let checked = probe_all_sources(&h, &zero_weight_spec(), &lengths, 1e-9);
         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        let pinned = weighted_probe_matches_full_grow(&h, &zero_weight_spec(), &lengths, 1e-9);
+        prop_assert!(pinned.is_ok(), "{}", pinned.unwrap_err());
     }
 }

@@ -49,6 +49,8 @@ pub struct CsrHypergraph {
     node_size: Vec<u64>,
     /// Sum of all node sizes.
     total_size: u64,
+    /// Smallest node size (0 for an empty hypergraph).
+    min_node_size: u64,
 }
 
 impl CsrHypergraph {
@@ -67,6 +69,7 @@ impl CsrHypergraph {
             net_capacity: h.net_capacity.clone(),
             node_size: h.node_size.clone(),
             total_size: h.total_size(),
+            min_node_size: h.node_size.iter().copied().min().unwrap_or(0),
         }
     }
 
@@ -135,6 +138,14 @@ impl CsrHypergraph {
         self.total_size
     }
 
+    /// Smallest node size `min_v s(v)`, or 0 for an empty hypergraph. The
+    /// weighted-order probe scales settle distances by it to bound the
+    /// `(dist + 1)·s(u)` key of every node it has not settled yet.
+    #[inline]
+    pub fn min_node_size(&self) -> u64 {
+        self.min_node_size
+    }
+
     /// The whole length slab, for batched reads (the quantization probe).
     #[inline]
     pub fn lengths(&self) -> &[f64] {
@@ -185,6 +196,7 @@ mod tests {
         assert_eq!(csr.num_nets(), h.num_nets());
         assert_eq!(csr.num_pins(), h.num_pins());
         assert_eq!(csr.total_size(), h.total_size());
+        assert_eq!(csr.min_node_size(), 1);
         for v in 0..h.num_nodes() {
             let want: Vec<u32> = h.node_nets(NodeId::new(v)).iter().map(|e| e.0).collect();
             assert_eq!(csr.node_nets(v as u32), want.as_slice(), "node {v}");
@@ -196,6 +208,16 @@ mod tests {
             assert_eq!(csr.net_capacity(e as u32), h.net_capacity(NetId::new(e)));
             assert_eq!(csr.net_len(e as u32), 0.0);
         }
+    }
+
+    #[test]
+    fn min_node_size_is_the_smallest_size() {
+        let mut b = HypergraphBuilder::new();
+        for size in [3, 2, 5] {
+            b.add_node(size);
+        }
+        b.add_net(1.0, [0, 1, 2].map(NodeId::new)).unwrap();
+        assert_eq!(CsrHypergraph::new(&b.build().unwrap()).min_node_size(), 2);
     }
 
     #[test]
