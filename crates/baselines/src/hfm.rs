@@ -9,6 +9,13 @@
 //! `C_l` of every block they enter. Passes move each node at most once
 //! (highest gain first, negative gains allowed), then roll back to the best
 //! prefix; they repeat until a pass brings no improvement.
+//!
+//! A gain evaluation is one allocation-free sweep over the node's
+//! `(level, net)` pairs that prices every feasible target at once, and a
+//! move re-evaluates each free neighbour once. Each target's gain still
+//! sums the same terms in the same order as pricing that target alone, so
+//! results match a per-target engine to the bit; `tests/hfm_equivalence.rs`
+//! holds the engine to one.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -83,11 +90,12 @@ pub fn improve(
     }
 
     let mut engine = Engine::new(h, spec, p, &leaves);
+    let mut buffers = PassBuffers::new(h.num_nodes(), leaves.len());
     let mut passes = 0;
     let mut total_moves = 0;
     while passes < params.max_passes {
         passes += 1;
-        let kept = engine.run_pass();
+        let kept = engine.run_pass(&mut buffers);
         total_moves += kept;
         if kept == 0 {
             break;
@@ -134,6 +142,32 @@ impl Ord for Candidate {
     }
 }
 
+/// Every leaf's ancestor chain (leaf up to the root), flattened.
+struct Chains {
+    /// Raw vertex ids, one chain after another.
+    vertices: Vec<u32>,
+    /// Leaf rank `r`'s chain is `vertices[start[r]..start[r + 1]]`.
+    start: Vec<usize>,
+}
+
+impl Chains {
+    /// The non-shared prefixes of two leaves' chains, `(from side, to
+    /// side)`: the vertices whose subtree size falls and rises when a node
+    /// moves from leaf rank `from` to leaf rank `to`.
+    #[inline]
+    fn divergent(&self, from: usize, to: usize) -> (&[u32], &[u32]) {
+        let fa = &self.vertices[self.start[from]..self.start[from + 1]];
+        let ta = &self.vertices[self.start[to]..self.start[to + 1]];
+        let mut fi = fa.len();
+        let mut ti = ta.len();
+        while fi > 0 && ti > 0 && fa[fi - 1] == ta[ti - 1] {
+            fi -= 1;
+            ti -= 1;
+        }
+        (&fa[..fi], &ta[..ti])
+    }
+}
+
 /// Incremental state: per-level block ranks, per-net per-level pin counts,
 /// per-vertex subtree sizes.
 struct Engine<'a> {
@@ -141,10 +175,13 @@ struct Engine<'a> {
     spec: &'a TreeSpec,
     /// Cost levels `0..levels` (the root level never pays).
     levels: usize,
-    /// Per leaf rank: the block rank at each cost level.
-    chain: Vec<Vec<u32>>,
-    /// Per leaf rank: ancestor vertices from the leaf up to the root.
-    ancestors: Vec<Vec<VertexId>>,
+    /// Number of leaves, i.e. of move targets.
+    num_leaves: usize,
+    /// Level-major block ranks: `block[l * num_leaves + r]` is the rank of
+    /// leaf rank `r`'s block at cost level `l`.
+    block: Vec<u32>,
+    /// Ancestor chain of every leaf rank.
+    chains: Chains,
     /// Number of blocks at each cost level.
     num_blocks: Vec<usize>,
     /// `counts[l][e.index() * num_blocks[l] + block_rank]`.
@@ -153,10 +190,53 @@ struct Engine<'a> {
     distinct: Vec<Vec<u32>>,
     /// Subtree size per vertex (raw id indexed).
     sizes: Vec<u64>,
+    /// `C_l` of every vertex's level (raw id indexed).
+    capacity: Vec<u64>,
     /// Current leaf rank of every node.
     leaf_rank_of: Vec<usize>,
-    /// Hierarchy level per vertex (raw id indexed), for capacity checks.
-    vertex_levels: Vec<usize>,
+}
+
+/// Scratch of one gain evaluation ([`Engine::best_move`]).
+struct Sweep {
+    /// Feasible targets of the evaluated node, ascending.
+    targets: Vec<u32>,
+    /// Cost delta of moving the node to `targets[i]`.
+    delta: Vec<f64>,
+    /// At the current level, per net of the node: the net's offset into
+    /// the level's counts, then its term for a target block already on
+    /// the net and for one not on it.
+    terms: Vec<(usize, f64, f64)>,
+}
+
+/// Buffers every pass reuses, allocated once per [`improve`] call.
+struct PassBuffers {
+    /// Not yet moved in this pass.
+    free: Vec<bool>,
+    /// Version of each node's one valid heap entry.
+    version: Vec<u32>,
+    /// Move stamp of each node's last refresh.
+    refreshed: Vec<u32>,
+    heap: BinaryHeap<Candidate>,
+    /// `(node, from, to)` in move order.
+    moves: Vec<(NodeId, usize, usize)>,
+    sweep: Sweep,
+}
+
+impl PassBuffers {
+    fn new(n: usize, num_leaves: usize) -> Self {
+        PassBuffers {
+            free: vec![true; n],
+            version: vec![0; n],
+            refreshed: vec![0; n],
+            heap: BinaryHeap::with_capacity(n),
+            moves: Vec::new(),
+            sweep: Sweep {
+                targets: Vec::with_capacity(num_leaves),
+                delta: Vec::with_capacity(num_leaves),
+                terms: Vec::new(),
+            },
+        }
+    }
 }
 
 impl<'a> Engine<'a> {
@@ -167,63 +247,50 @@ impl<'a> Engine<'a> {
         leaves: &[VertexId],
     ) -> Self {
         let levels = p.root_level();
+        let num_leaves = leaves.len();
         let mut leaf_rank = vec![usize::MAX; p.num_vertices()];
         for (r, &q) in leaves.iter().enumerate() {
             leaf_rank[q.index()] = r;
         }
 
-        // Block chains and ranks per level.
-        let mut chain_vertices: Vec<Vec<u32>> = Vec::with_capacity(leaves.len());
-        for &q in leaves {
-            let mut row = Vec::with_capacity(levels);
-            let mut cur = q;
-            for l in 0..levels {
-                while let Some(par) = p.parent(cur) {
+        // Block vertices per level, then their dense ranks.
+        let mut block = Vec::with_capacity(levels * num_leaves);
+        let mut cur: Vec<VertexId> = leaves.to_vec();
+        let mut num_blocks = Vec::with_capacity(levels);
+        let mut rank = vec![u32::MAX; p.num_vertices()];
+        for l in 0..levels {
+            for q in &mut cur {
+                while let Some(par) = p.parent(*q) {
                     if p.level(par) <= l {
-                        cur = par;
+                        *q = par;
                     } else {
                         break;
                     }
                 }
-                row.push(cur.0);
             }
-            chain_vertices.push(row);
-        }
-        let mut num_blocks = Vec::with_capacity(levels);
-        let mut rank_at: Vec<Vec<u32>> = Vec::with_capacity(levels);
-        for l in 0..levels {
-            let mut ids: Vec<u32> = chain_vertices.iter().map(|row| row[l]).collect();
+            let mut ids: Vec<u32> = cur.iter().map(|q| q.0).collect();
             ids.sort_unstable();
             ids.dedup();
-            let mut rank = vec![u32::MAX; p.num_vertices()];
             for (r, &id) in ids.iter().enumerate() {
                 rank[id as usize] = r as u32;
             }
             num_blocks.push(ids.len());
-            rank_at.push(rank);
+            block.extend(cur.iter().map(|q| rank[q.index()]));
         }
-        let chain: Vec<Vec<u32>> = chain_vertices
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .map(|(l, &id)| rank_at[l][id as usize])
-                    .collect()
-            })
-            .collect();
 
-        let ancestors: Vec<Vec<VertexId>> = leaves
-            .iter()
-            .map(|&q| {
-                let mut list = vec![q];
-                let mut cur = q;
-                while let Some(par) = p.parent(cur) {
-                    list.push(par);
-                    cur = par;
-                }
-                list
-            })
-            .collect();
+        let mut chains = Chains {
+            vertices: Vec::new(),
+            start: Vec::with_capacity(num_leaves + 1),
+        };
+        for &q in leaves {
+            chains.start.push(chains.vertices.len());
+            let mut cur = Some(q);
+            while let Some(v) = cur {
+                chains.vertices.push(v.0);
+                cur = p.parent(v);
+            }
+        }
+        chains.start.push(chains.vertices.len());
 
         let leaf_rank_of: Vec<usize> = h.nodes().map(|v| leaf_rank[p.leaf_of(v).index()]).collect();
 
@@ -236,7 +303,7 @@ impl<'a> Engine<'a> {
             for &v in h.net_pins(e) {
                 let r = leaf_rank_of[v.index()];
                 for l in 0..levels {
-                    let idx = e.index() * num_blocks[l] + chain[r][l] as usize;
+                    let idx = e.index() * num_blocks[l] + block[l * num_leaves + r] as usize;
                     if counts[l][idx] == 0 {
                         distinct[l][e.index()] += 1;
                     }
@@ -247,30 +314,23 @@ impl<'a> Engine<'a> {
 
         let node_sizes: Vec<u64> = h.nodes().map(|v| h.node_size(v)).collect();
         let sizes = p.subtree_sizes(&node_sizes);
-        let size_per_vertex = {
-            let mut s = vec![0u64; p.num_vertices()];
-            for (q, &v) in sizes.iter().enumerate() {
-                s[q] = v;
-            }
-            s
-        };
-        // Capture the level of every vertex for capacity checks.
-        let vertex_levels: Vec<usize> = (0..p.num_vertices())
-            .map(|q| p.level(VertexId::new(q)))
+        let capacity: Vec<u64> = (0..p.num_vertices())
+            .map(|q| spec.capacity(p.level(VertexId::new(q))))
             .collect();
 
         Engine {
             h,
             spec,
             levels,
-            chain,
-            ancestors,
+            num_leaves,
+            block,
+            chains,
             num_blocks,
             counts,
             distinct,
-            sizes: size_per_vertex,
+            sizes,
+            capacity,
             leaf_rank_of,
-            vertex_levels,
         }
     }
 
@@ -284,13 +344,19 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Block rank of leaf rank `r` at cost level `l`.
+    #[inline]
+    fn block_of(&self, l: usize, r: usize) -> u32 {
+        self.block[l * self.num_leaves + r]
+    }
+
     /// Exact cost change of moving `v` from its leaf to leaf rank `to`.
     fn move_delta(&self, v: NodeId, to: usize) -> f64 {
         let from = self.leaf_rank_of[v.index()];
         let mut delta = 0.0;
         for l in 0..self.levels {
-            let a = self.chain[from][l];
-            let b = self.chain[to][l];
+            let a = self.block_of(l, from);
+            let b = self.block_of(l, to);
             if a == b {
                 continue;
             }
@@ -310,43 +376,98 @@ impl<'a> Engine<'a> {
         delta
     }
 
-    /// The vertices whose size changes when moving between two leaf ranks:
-    /// the non-shared prefixes of the two ancestor chains.
-    fn divergent_ancestors(&self, from: usize, to: usize) -> (Vec<VertexId>, Vec<VertexId>) {
-        let fa = &self.ancestors[from];
-        let ta = &self.ancestors[to];
-        let mut fi = fa.len();
-        let mut ti = ta.len();
-        while fi > 0 && ti > 0 && fa[fi - 1] == ta[ti - 1] {
-            fi -= 1;
-            ti -= 1;
-        }
-        (fa[..fi].to_vec(), ta[..ti].to_vec())
-    }
-
-    /// Whether the target side has room for `size` at every level it gains.
-    fn move_fits(&self, v: NodeId, to: usize) -> bool {
-        let from = self.leaf_rank_of[v.index()];
+    /// Whether leaf rank `to` has room for `size` at every level a move
+    /// from leaf rank `from` enters.
+    #[inline]
+    fn move_fits(&self, from: usize, to: usize, size: u64) -> bool {
         if from == to {
             return false;
         }
-        let s = self.h.node_size(v);
-        let (_, gainers) = self.divergent_ancestors(from, to);
-        gainers.iter().all(|&q| {
-            self.sizes[q.index()] + s <= self.spec.capacity(self.vertex_levels[q.index()])
-        })
+        let (_, gainers) = self.chains.divergent(from, to);
+        gainers
+            .iter()
+            .all(|&q| self.sizes[q as usize] + size <= self.capacity[q as usize])
     }
 
-    /// Best feasible move of `v`, if any.
-    fn best_move(&self, v: NodeId) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for to in 0..self.chain.len() {
-            if !self.move_fits(v, to) {
+    /// Best feasible move of `v`, if any: the first target with the
+    /// strictly largest gain.
+    ///
+    /// One sweep over `(level, net)` evaluates every feasible target. Per
+    /// pair it decides once whether `v` leaves its block, which leaves one
+    /// possible non-zero term; each target then adds that term or `+0.0`,
+    /// by whether its block is already on the net. A target so receives
+    /// exactly [`Engine::move_delta`]'s additions in the same order, and
+    /// the added zeros are exact: a sum that starts at `+0.0` is never
+    /// `−0.0`, and `x + 0.0 == x` for every other `x`.
+    fn best_move(&self, v: NodeId, sweep: &mut Sweep) -> Option<(usize, f64)> {
+        let from = self.leaf_rank_of[v.index()];
+        let size = self.h.node_size(v);
+        let Sweep {
+            targets,
+            delta,
+            terms,
+        } = sweep;
+        targets.clear();
+        targets.extend(
+            (0..self.num_leaves)
+                .filter(|&to| self.move_fits(from, to, size))
+                .map(|to| to as u32),
+        );
+        if targets.is_empty() {
+            return None;
+        }
+        delta.clear();
+        delta.resize(targets.len(), 0.0);
+
+        for l in 0..self.levels {
+            let row = &self.block[l * self.num_leaves..(l + 1) * self.num_leaves];
+            let a = row[from];
+            if targets.iter().all(|&to| row[to as usize] == a) {
                 continue;
             }
-            let gain = -self.move_delta(v, to);
+            let w = self.spec.weight(l);
+            let nb = self.num_blocks[l];
+            let counts = &self.counts[l];
+            let distinct = &self.distinct[l];
+            terms.clear();
+            terms.extend(self.h.node_nets(v).iter().map(|&e| {
+                let base = e.index() * nb;
+                let before = distinct[e.index()];
+                let wc = w * self.h.net_capacity(e);
+                if counts[base + a as usize] == 1 {
+                    // `v` leaves its block: a target block already on the
+                    // net takes the count down by one, an absent one
+                    // keeps it.
+                    (base, wc * (Self::val(before - 1) - Self::val(before)), 0.0)
+                } else {
+                    // `v`'s block stays: only an absent block adds one.
+                    (base, 0.0, wc * (Self::val(before + 1) - Self::val(before)))
+                }
+            }));
+            // Target by target, so each sum stays in a register; its
+            // additions still come in net order.
+            for (&to, d) in targets.iter().zip(delta.iter_mut()) {
+                let b = row[to as usize];
+                if b == a {
+                    continue;
+                }
+                let mut sum = *d;
+                for &(base, on, off) in terms.iter() {
+                    sum += if counts[base + b as usize] != 0 {
+                        on
+                    } else {
+                        off
+                    };
+                }
+                *d = sum;
+            }
+        }
+
+        let mut best: Option<(usize, f64)> = None;
+        for (&to, &d) in targets.iter().zip(delta.iter()) {
+            let gain = -d;
             if best.is_none_or(|(_, g)| gain > g) {
-                best = Some((to, gain));
+                best = Some((to as usize, gain));
             }
         }
         best
@@ -358,8 +479,8 @@ impl<'a> Engine<'a> {
         let from = self.leaf_rank_of[v.index()];
         let delta = self.move_delta(v, to);
         for l in 0..self.levels {
-            let a = self.chain[from][l];
-            let b = self.chain[to][l];
+            let a = self.block_of(l, from);
+            let b = self.block_of(l, to);
             if a == b {
                 continue;
             }
@@ -379,25 +500,34 @@ impl<'a> Engine<'a> {
             }
         }
         let s = self.h.node_size(v);
-        let (losers, gainers) = self.divergent_ancestors(from, to);
-        for q in losers {
-            self.sizes[q.index()] -= s;
+        let (losers, gainers) = self.chains.divergent(from, to);
+        for &q in losers {
+            self.sizes[q as usize] -= s;
         }
-        for q in gainers {
-            self.sizes[q.index()] += s;
+        for &q in gainers {
+            self.sizes[q as usize] += s;
         }
         self.leaf_rank_of[v.index()] = to;
         delta
     }
 
     /// One pass; returns the number of kept (non-rolled-back) moves.
-    fn run_pass(&mut self) -> usize {
-        let n = self.h.num_nodes();
-        let mut free = vec![true; n];
-        let mut version = vec![0u32; n];
-        let mut heap: BinaryHeap<Candidate> = BinaryHeap::with_capacity(n);
+    fn run_pass(&mut self, buffers: &mut PassBuffers) -> usize {
+        let PassBuffers {
+            free,
+            version,
+            refreshed,
+            heap,
+            moves,
+            sweep,
+        } = buffers;
+        free.fill(true);
+        version.fill(0);
+        refreshed.fill(0);
+        heap.clear();
+        moves.clear();
         for v in self.h.nodes() {
-            if let Some((to, gain)) = self.best_move(v) {
+            if let Some((to, gain)) = self.best_move(v, sweep) {
                 heap.push(Candidate {
                     gain,
                     node: v.0,
@@ -407,7 +537,6 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let mut moves: Vec<(NodeId, usize, usize)> = Vec::new();
         let mut cum = 0.0;
         let mut best_cum = 0.0;
         let mut best_len = 0usize;
@@ -419,11 +548,12 @@ impl<'a> Engine<'a> {
             }
             let v = NodeId(c.node);
             let to = c.target as usize;
-            if !self.move_fits(v, to) {
+            let from = self.leaf_rank_of[vi];
+            if !self.move_fits(from, to, self.h.node_size(v)) {
                 // Capacities shifted since the candidate was queued;
                 // recompute the node's best feasible move.
                 version[vi] += 1;
-                if let Some((t2, g2)) = self.best_move(v) {
+                if let Some((t2, g2)) = self.best_move(v, sweep) {
                     heap.push(Candidate {
                         gain: g2,
                         node: c.node,
@@ -433,7 +563,6 @@ impl<'a> Engine<'a> {
                 }
                 continue;
             }
-            let from = self.leaf_rank_of[vi];
             cum += self.apply_move(v, to);
             free[vi] = false;
             moves.push((v, from, to));
@@ -442,17 +571,22 @@ impl<'a> Engine<'a> {
                 best_len = moves.len();
             }
 
-            // Refresh candidates of the free pins sharing a net with v.
+            // Refresh the candidate of every free pin sharing a net with
+            // v, once: the state is fixed during this loop, so a second
+            // evaluation would only queue an identical candidate.
+            let stamp = moves.len() as u32;
             for &e in self.h.node_nets(v) {
                 for &u in self.h.net_pins(e) {
-                    if u != v && free[u.index()] {
-                        version[u.index()] += 1;
-                        if let Some((t, g)) = self.best_move(u) {
+                    let ui = u.index();
+                    if u != v && free[ui] && refreshed[ui] != stamp {
+                        refreshed[ui] = stamp;
+                        version[ui] += 1;
+                        if let Some((t, g)) = self.best_move(u, sweep) {
                             heap.push(Candidate {
                                 gain: g,
                                 node: u.0,
                                 target: t as u32,
-                                version: version[u.index()],
+                                version: version[ui],
                             });
                         }
                     }

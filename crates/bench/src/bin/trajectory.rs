@@ -536,6 +536,7 @@ fn render_multilevel(samples: &[MlSample], threads: usize, quick: bool) -> Strin
                 "          \"refine_seconds\": {:.6},",
                 lvl.refine_seconds
             );
+            let _ = writeln!(out, "          \"hfm_seconds\": {:.6},", lvl.hfm_seconds);
             let _ = writeln!(out, "          \"projected_cost\": {},", lvl.projected_cost);
             let _ = writeln!(out, "          \"refined_cost\": {},", lvl.refined_cost);
             let _ = writeln!(

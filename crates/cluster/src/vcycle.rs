@@ -7,8 +7,9 @@
 //! stochastic routing, heavy-edge-rated above that — until the coarsest
 //! netlist fits a node threshold. FLOW solves the coarsest instance, and
 //! the up pass projects through each level, running a flow-based
-//! boundary-refinement pass ([`crate::refine`]) with a hierarchical-FM
-//! fallback at sizes where FM is affordable.
+//! boundary-refinement pass ([`crate::refine`]) and then, on levels small
+//! enough for FM's full move scan, a hierarchical-FM sweep whose result is
+//! kept when it lowers the cost.
 //!
 //! Every phase polls the caller's [`Budget`]: a deadline or cancellation
 //! mid-cycle stops refinement and projects the best partition found so
@@ -85,9 +86,10 @@ pub struct VCycleParams {
     pub flow_refine: bool,
     /// Parameters of the flow-refinement pass.
     pub refine: FlowRefineParams,
-    /// Fall back to the hierarchical-FM pass (when the flow pass moved
-    /// nothing) only at levels with at most this many nodes — FM's move
-    /// scan is too expensive above it.
+    /// Run the hierarchical-FM sweep after the flow pass on every level
+    /// with at most this many nodes (keeping its result only when it
+    /// strictly lowers the cost); larger levels skip it, because FM's
+    /// move scan is too expensive above this size.
     pub hfm_max_nodes: usize,
     /// Keep a snapshot of the (projected, refined) partition at every
     /// uncoarsening level in [`VCycleResult::level_partitions`] (test and
@@ -153,8 +155,12 @@ pub struct VCycleLevelReport {
     pub nets: usize,
     /// Time spent coarsening this graph during the down pass.
     pub coarsen_seconds: f64,
-    /// Time spent refining after projection.
+    /// Time spent refining after projection: the flow pass plus the
+    /// hierarchical-FM sweep.
     pub refine_seconds: f64,
+    /// Wall time of the hierarchical-FM sweep alone (part of
+    /// `refine_seconds`); 0.0 when it did not run.
+    pub hfm_seconds: f64,
     /// Cost right after projecting the coarser partition.
     pub projected_cost: f64,
     /// Cost after refinement (never above `projected_cost`).
@@ -170,7 +176,9 @@ pub struct VCycleLevelReport {
     pub flow_skipped_gain_bound: f64,
     /// Nodes moved by accepted flow proposals.
     pub flow_moved_nodes: usize,
-    /// Whether the hierarchical-FM fallback ran at this level.
+    /// Whether the hierarchical-FM sweep strictly lowered the cost at this
+    /// level, so its partition was kept. A sweep that ran without
+    /// improving leaves this `false` (see `hfm_seconds`).
     pub hfm_used: bool,
     /// Filler singletons frozen while coarsening this graph.
     pub frozen_fillers: usize,
@@ -357,7 +365,7 @@ pub fn vcycle_partition_with_budget<R: Rng + ?Sized>(
         // projected partition for this level and degrades the outcome
         // instead of aborting the cycle.
         type RefineAttempt =
-            Result<(HierarchicalPartition, f64, FlowRefineReport, bool), CoreError>;
+            Result<(HierarchicalPartition, f64, FlowRefineReport, bool, f64), CoreError>;
         let attempt: std::thread::Result<RefineAttempt> = if budget_ok {
             catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-injection")]
@@ -386,9 +394,12 @@ pub fn vcycle_partition_with_budget<R: Rng + ?Sized>(
                 // enough for FM's full move scan; kept only when it
                 // strictly improves.
                 let mut hfm_used = false;
+                let mut hfm_seconds = 0.0;
                 let (refined, refined_cost) =
                     if fine.num_nodes() <= params.hfm_max_nodes && budget.check_time().is_ok() {
+                        let hfm_start = Instant::now();
                         let (p2, c2) = refine_partition(fine, spec, &refined)?;
+                        hfm_seconds = hfm_start.elapsed().as_secs_f64();
                         if c2 < refined_cost - 1e-12 {
                             hfm_used = true;
                             (p2, c2)
@@ -398,7 +409,7 @@ pub fn vcycle_partition_with_budget<R: Rng + ?Sized>(
                     } else {
                         (refined, refined_cost)
                     };
-                Ok((refined, refined_cost, report, hfm_used))
+                Ok((refined, refined_cost, report, hfm_used, hfm_seconds))
             }))
         } else {
             Ok(Ok((
@@ -406,9 +417,10 @@ pub fn vcycle_partition_with_budget<R: Rng + ?Sized>(
                 projected_cost,
                 FlowRefineReport::default(),
                 false,
+                0.0,
             )))
         };
-        let (refined, refined_cost, report, hfm_used) = match attempt {
+        let (refined, refined_cost, report, hfm_used, hfm_seconds) = match attempt {
             Ok(Ok(stage)) => stage,
             Ok(Err(e)) => return Err(e),
             Err(_) => {
@@ -419,6 +431,7 @@ pub fn vcycle_partition_with_budget<R: Rng + ?Sized>(
                     projected_cost,
                     FlowRefineReport::default(),
                     false,
+                    0.0,
                 )
             }
         };
@@ -432,6 +445,7 @@ pub fn vcycle_partition_with_budget<R: Rng + ?Sized>(
             nets: fine.num_nets(),
             coarsen_seconds: coarsen_times[i],
             refine_seconds,
+            hfm_seconds,
             projected_cost,
             refined_cost,
             flow_pairs_tried: report.pairs_tried,
