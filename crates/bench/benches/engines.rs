@@ -1,5 +1,6 @@
 //! Criterion bench: alternative engines — heap FM vs bucket FM, spectral
-//! seeding, and the cluster-coarsened pipeline vs flat FLOW.
+//! seeding, the cluster-coarsened pipeline vs flat FLOW, and the V-cycle's
+//! flow-refinement pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use htp_baselines::fm::bipartition::{fm_bipartition, random_balanced_init, BisectionBounds};
@@ -7,8 +8,11 @@ use htp_baselines::fm::buckets::fm_bipartition_buckets;
 use htp_baselines::spectral::{spectral_fm_bipartition, SpectralParams};
 use htp_bench::{paper_spec, threads_from_env};
 use htp_cluster::pipeline::{clustered_flow_partition, ClusteredFlowParams};
+use htp_cluster::refine::{flow_refine_pass, FlowRefineParams};
 use htp_core::injector::FlowParams;
 use htp_core::partitioner::{FlowPartitioner, PartitionerParams};
+use htp_core::runtime::Budget;
+use htp_model::{cost, TreeSpec};
 use htp_netlist::gen::rent::{rent_circuit, RentParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,5 +95,52 @@ fn bench_multilevel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fm_engines, bench_multilevel);
+fn bench_flow_refine(c: &mut Criterion) {
+    // What the V-cycle hands the flow pass: a recorded uncoarsening level
+    // of clustered:20x100 (616 coarse nodes of mixed size, 4157 merged
+    // nets) and its projected partition. See the header of the .hgr file
+    // for how it was recorded.
+    let level = htp_netlist::io::hgr::from_str(include_str!(
+        "../../baselines/tests/data/vcycle_clustered20x100.hgr"
+    ))
+    .unwrap();
+    let start = htp_model::io::from_str(include_str!(
+        "../../baselines/tests/data/vcycle_clustered20x100.part"
+    ))
+    .unwrap();
+    let spec = TreeSpec::full_tree(level.total_size(), 4, 2, 1.10, 1.0).unwrap();
+    let start_cost = cost::partition_cost(&level, &spec, &start);
+    // One thread: the cascades, gadget builds and max-flows themselves,
+    // without the pool's fan-out.
+    let params = FlowRefineParams {
+        threads: 1,
+        ..FlowRefineParams::default()
+    };
+
+    let mut group = c.benchmark_group("flow_refine");
+    group.sample_size(10);
+    group.bench_function("pass_vcycle_level", |b| {
+        b.iter(|| {
+            black_box(
+                flow_refine_pass(
+                    &level,
+                    &spec,
+                    &start,
+                    start_cost,
+                    &params,
+                    &Budget::unlimited(),
+                )
+                .unwrap(),
+            )
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_fm_engines,
+    bench_multilevel,
+    bench_flow_refine
+);
 criterion_main!(benches);

@@ -544,6 +544,7 @@ fn render_multilevel(samples: &[MlSample], threads: usize, quick: bool) -> Strin
                 "          \"flow_pairs_tried\": {},",
                 lvl.flow_pairs_tried
             );
+            let _ = writeln!(out, "          \"flow_gadgets\": {},", lvl.flow_gadgets);
             let _ = writeln!(
                 out,
                 "          \"flow_pairs_accepted\": {},",

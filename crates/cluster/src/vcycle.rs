@@ -167,6 +167,10 @@ pub struct VCycleLevelReport {
     pub refined_cost: f64,
     /// Block pairs the flow refiner took to the max-flow stage.
     pub flow_pairs_tried: usize,
+    /// Flow gadgets solved by max-flow: first proposals, region-halving
+    /// retries and speculative retries
+    /// ([`FlowRefineReport::gadgets`]).
+    pub flow_gadgets: usize,
     /// Pairs whose min-cut move was accepted.
     pub flow_pairs_accepted: usize,
     /// Pairs the estimated-gain gate skipped before max-flow.
@@ -449,6 +453,7 @@ pub fn vcycle_partition_with_budget<R: Rng + ?Sized>(
             projected_cost,
             refined_cost,
             flow_pairs_tried: report.pairs_tried,
+            flow_gadgets: report.gadgets,
             flow_pairs_accepted: report.pairs_accepted,
             flow_pairs_skipped: report.pairs_skipped,
             flow_skipped_gain_bound: report.skipped_gain_bound,

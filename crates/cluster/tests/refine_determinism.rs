@@ -4,8 +4,9 @@
 //! The proposal phase runs on a scoped worker pool, but proposals are
 //! pure functions of the batch-start snapshot, land in index-addressed
 //! slots, and commit sequentially in ranked order — so the refined
-//! partition, its cost bits, and every per-level counter must not depend
-//! on how many workers computed the proposals. This is the contract that
+//! partition, its cost bits, and every per-level counter (the speculative
+//! gadget count included) must not depend on how many workers computed
+//! the proposals. This is the contract that
 //! lets `HTP_THREADS` scale the V-cycle without forking the conformance
 //! goldens.
 
@@ -17,9 +18,28 @@ use htp_netlist::gen::rent::{rent_circuit, RentParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The flow pass's counters at one level, with its float fields as bits.
+#[derive(Debug, PartialEq)]
+struct LevelDigest {
+    pairs_tried: usize,
+    pairs_accepted: usize,
+    pairs_skipped: usize,
+    gadgets: usize,
+    moved_nodes: usize,
+    skipped_gain_bound: u64,
+    refined_cost: u64,
+}
+
 /// A compact, total digest of one run: every leaf assignment, the exact
 /// cost bits, and the per-level refinement counters.
-fn run_digest(threads: usize) -> (Vec<usize>, u64, Vec<(usize, usize, usize, u64)>) {
+#[derive(Debug, PartialEq)]
+struct RunDigest {
+    leaves: Vec<usize>,
+    cost: u64,
+    levels: Vec<LevelDigest>,
+}
+
+fn run_digest(threads: usize) -> RunDigest {
     let mut rng = StdRng::seed_from_u64(1997);
     let h = rent_circuit(
         RentParams {
@@ -48,19 +68,24 @@ fn run_digest(threads: usize) -> (Vec<usize>, u64, Vec<(usize, usize, usize, u64
     let mut run_rng = StdRng::seed_from_u64(42);
     let r = vcycle_partition(&h, &spec, params, &mut run_rng).unwrap();
     let leaves: Vec<usize> = h.nodes().map(|v| r.partition.leaf_of(v).index()).collect();
-    let levels: Vec<(usize, usize, usize, u64)> = r
+    let levels = r
         .levels
         .iter()
-        .map(|l| {
-            (
-                l.flow_pairs_tried,
-                l.flow_pairs_accepted,
-                l.flow_pairs_skipped,
-                l.refined_cost.to_bits(),
-            )
+        .map(|l| LevelDigest {
+            pairs_tried: l.flow_pairs_tried,
+            pairs_accepted: l.flow_pairs_accepted,
+            pairs_skipped: l.flow_pairs_skipped,
+            gadgets: l.flow_gadgets,
+            moved_nodes: l.flow_moved_nodes,
+            skipped_gain_bound: l.flow_skipped_gain_bound.to_bits(),
+            refined_cost: l.refined_cost.to_bits(),
         })
         .collect();
-    (leaves, r.cost.to_bits(), levels)
+    RunDigest {
+        leaves,
+        cost: r.cost.to_bits(),
+        levels,
+    }
 }
 
 #[test]
@@ -69,9 +94,9 @@ fn refinement_is_bit_identical_at_every_thread_count() {
     // The single-threaded run must actually refine something, or the
     // equality below is vacuous.
     assert!(
-        baseline.2.iter().any(|&(tried, ..)| tried > 0),
+        baseline.levels.iter().any(|l| l.gadgets > 0),
         "workload never reached the max-flow stage: {:?}",
-        baseline.2
+        baseline.levels
     );
     for threads in [2, 4, 8, 0] {
         let run = run_digest(threads);

@@ -535,67 +535,57 @@ fn run_injection<R: Rng + ?Sized>(
             _ => None,
         },
     };
-    // Probes one contiguous chunk of the round's shuffled working set
-    // (global probe indices `base..`) into `out`. Shared by the inline and
-    // scoped-worker paths; stops early — leaving `Probe::NotRun` slots —
-    // once any worker records a budget interrupt in `stop`. The fault
-    // index is taken from the deterministic slot position, never from the
-    // shared probe counter, so fault plans fire identically at any thread
-    // count. `csr`/`dial` arrive as per-call arguments (never captured) so
-    // the round loop stays free to re-price the slab between rounds.
-    let run_chunk = |csr: &CsrHypergraph,
-                     dial: Option<(f64, usize)>,
-                     nodes: &[NodeId],
-                     out: &mut [Probe],
-                     base: u64,
+    // Probes one node of the round's shuffled working set, at global probe
+    // index `index`, with the calling worker's scratch. Returns
+    // `Probe::NotRun` once any worker has recorded a budget interrupt in
+    // `stop`. The fault index is the deterministic slot position, never
+    // the shared probe counter, so fault plans fire identically at any
+    // thread count. `csr` arrives as a per-call argument (never captured)
+    // so the round loop stays free to re-price the slab between rounds.
+    let probe_one = |csr: &CsrHypergraph,
+                     v: NodeId,
+                     _index: u64,
+                     dial: bool,
                      scratch: &mut CsrProbeScratch,
-                     stop: &InterruptCell| {
-        if let Some((width, buckets)) = dial {
-            scratch.plan_dial(width, buckets);
+                     stop: &InterruptCell|
+     -> Probe {
+        if stop.get().is_some() {
+            return Probe::NotRun;
         }
-        for (i, (v, slot)) in nodes.iter().zip(out.iter_mut()).enumerate() {
-            if stop.get().is_some() {
-                return;
+        if let Err(irq) = budget.probe_tick() {
+            stop.set(irq);
+            return Probe::NotRun;
+        }
+        #[cfg(feature = "fault-injection")]
+        if let Some(plan) = budget.fault_plan() {
+            if plan.should_fail_oracle(_index) {
+                return Probe::OracleError;
             }
-            if let Err(irq) = budget.probe_tick() {
-                stop.set(irq);
-                return;
-            }
-            let _index = base + i as u64;
+        }
+        // Contain a panicking probe: the scratch re-initialises itself on
+        // entry, so whatever state the unwound probe left behind is wiped
+        // before the next use.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
             #[cfg(feature = "fault-injection")]
             if let Some(plan) = budget.fault_plan() {
-                if plan.should_fail_oracle(_index) {
-                    *slot = Probe::OracleError;
-                    continue;
+                if plan.should_panic(_index) {
+                    panic!("injected probe fault at probe {_index}");
                 }
             }
-            // Contain a panicking probe: the scratch re-initialises itself
-            // on entry, so whatever state the unwound probe left behind is
-            // wiped before the next use.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                #[cfg(feature = "fault-injection")]
-                if let Some(plan) = budget.fault_plan() {
-                    if plan.should_panic(_index) {
-                        panic!("injected probe fault at probe {_index}");
-                    }
-                }
-                probe(csr, spec, *v, params.tolerance, scratch, dial.is_some())
-            }));
-            *slot = match outcome {
-                Ok(report) => match report.violation {
-                    Some(t) => Probe::Violated(t, report.min_rel_slack),
-                    None => Probe::Clear,
-                },
-                Err(_) => Probe::Panicked,
-            };
+            probe(csr, spec, v, params.tolerance, scratch, dial)
+        }));
+        match outcome {
+            Ok(report) => match report.violation {
+                Some(t) => Probe::Violated(t, report.min_rel_slack),
+                None => Probe::Clear,
+            },
+            Err(_) => Probe::Panicked,
         }
     };
-    let threads = crate::pool::resolve_threads(params.threads);
-    // One probe scratch per potential worker plus the inline path,
-    // allocated once and reused across every round (the per-round
-    // allocation this replaces showed up at high thread counts).
-    let mut inline_scratch = CsrProbeScratch::new(&csr);
-    let mut worker_scratches: Vec<CsrProbeScratch> = (0..threads.max(1))
+    // One probe scratch per potential worker, allocated once and reused
+    // across every round (the per-round allocation this replaces showed
+    // up at high thread counts). The inline path uses the first.
+    let mut scratches: Vec<CsrProbeScratch> = (0..crate::pool::resolve_threads(params.threads))
         .map(|_| CsrProbeScratch::new(&csr))
         .collect();
 
@@ -609,7 +599,6 @@ fn run_injection<R: Rng + ?Sized>(
     let mut backoff: Vec<u8> = vec![0; h.num_nodes()];
     let mut clock: u64 = 0;
 
-    let mut candidates: Vec<Probe> = Vec::new();
     let mut due: Vec<NodeId> = Vec::new();
     let mut held: Vec<NodeId> = Vec::new();
     while !active.is_empty() && stats.rounds < params.max_rounds {
@@ -680,38 +669,30 @@ fn run_injection<R: Rng + ?Sized>(
         // disjoint index ranges, so the outcome is independent of how many
         // there are.
         let probe_start = Instant::now();
-        candidates.clear();
-        candidates.resize_with(due.len(), || Probe::NotRun);
+        if let Some((width, buckets)) = dial_geom {
+            for scratch in &mut scratches {
+                scratch.plan_dial(width, buckets);
+            }
+        }
         let stop = InterruptCell::new();
         let probe_base = stats.probes as u64;
-        let workers = threads.min(due.len());
-        if workers <= 1 {
-            run_chunk(
-                &csr,
-                dial_geom,
-                &due,
-                &mut candidates,
-                probe_base,
-                &mut inline_scratch,
-                &stop,
-            );
-        } else {
-            let chunk = due.len().div_ceil(workers);
-            let (csr_ref, stop_ref, run_ref) = (&csr, &stop, &run_chunk);
-            std::thread::scope(|s| {
-                for ((ci, (nodes, out)), scratch) in due
-                    .chunks(chunk)
-                    .zip(candidates.chunks_mut(chunk))
-                    .enumerate()
-                    .zip(worker_scratches.iter_mut())
-                {
-                    s.spawn(move || {
-                        let base = probe_base + (ci * chunk) as u64;
-                        run_ref(csr_ref, dial_geom, nodes, out, base, scratch, stop_ref);
-                    });
-                }
-            });
-        }
+        let (csr_ref, due_ref, stop_ref) = (&csr, &due, &stop);
+        let candidates = crate::pool::parallel_fill_with(
+            due.len(),
+            params.threads,
+            &mut scratches,
+            |i, scratch| {
+                let index = probe_base + i as u64;
+                probe_one(
+                    csr_ref,
+                    due_ref[i],
+                    index,
+                    dial_geom.is_some(),
+                    scratch,
+                    stop_ref,
+                )
+            },
+        );
         stats.probe_time += probe_start.elapsed();
 
         // Commit phase: sequential, in shuffled order. The first commit
@@ -725,8 +706,8 @@ fn run_injection<R: Rng + ?Sized>(
         let mut dirty = false;
         let mut still_active = Vec::with_capacity(active.len());
         still_active.extend_from_slice(&held);
-        for (slot, &v) in candidates.iter_mut().zip(&due) {
-            match std::mem::replace(slot, Probe::NotRun) {
+        for (candidate, &v) in candidates.into_iter().zip(&due) {
+            match candidate {
                 Probe::NotRun => {
                     // Interrupted before this probe ran: status unknown,
                     // the node must stay in the working set (still due).

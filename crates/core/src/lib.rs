@@ -62,7 +62,7 @@ pub mod sptree;
 
 pub use error::CoreError;
 pub use metric::SpreadingMetric;
-pub use pool::{parallel_fill, resolve_threads};
+pub use pool::{parallel_fill, parallel_fill_with, resolve_threads};
 #[cfg(feature = "fault-injection")]
 pub use runtime::FaultPlan;
 pub use runtime::{Budget, CancelToken, Interrupt, RunOutcome};

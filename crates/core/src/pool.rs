@@ -12,7 +12,9 @@
 //!
 //! This module centralizes the two pieces both sites need: resolving a
 //! `threads` parameter (`0` = all available parallelism) and the chunked
-//! `std::thread::scope` fan-out itself.
+//! `std::thread::scope` fan-out itself. The fan-out exists once, in
+//! [`parallel_fill_with`], which hands each worker its own reusable
+//! scratch; [`parallel_fill`] is the scratch-free form.
 
 /// Resolves a thread-count parameter: `0` means all available
 /// parallelism (falling back to 1 if it cannot be determined), any other
@@ -40,21 +42,51 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = resolve_threads(threads).min(n);
+    let mut unit = vec![(); resolve_threads(threads).min(n).max(1)];
+    parallel_fill_with(n, threads, &mut unit, |i, _| f(i))
+}
+
+/// [`parallel_fill`] with per-worker scratch: worker `w` calls
+/// `f(i, &mut scratches[w])` for every slot `i` of its chunk, so reusable
+/// buffers are allocated once per caller instead of once per item.
+///
+/// The pool uses at most `scratches.len()` workers; slot `i` still always
+/// holds `f(i, _)`, so the result is identical at every `threads`
+/// setting provided `f`'s value does not depend on what an earlier call
+/// left in the scratch. The inline path (one worker) uses
+/// `scratches[0]`.
+///
+/// # Panics
+///
+/// Panics if `n > 0` and `scratches` is empty; a panic inside `f`
+/// propagates to the caller.
+pub fn parallel_fill_with<T, S, F>(n: usize, threads: usize, scratches: &mut [S], f: F) -> Vec<T>
+where
+    T: Send,
+    S: Send,
+    F: Fn(usize, &mut S) -> T + Sync,
+{
+    assert!(
+        n == 0 || !scratches.is_empty(),
+        "parallel_fill_with needs a scratch"
+    );
+    let workers = resolve_threads(threads).min(n).min(scratches.len());
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     if workers <= 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = Some(f(i));
+        if let Some(scratch) = scratches.first_mut() {
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot = Some(f(i, scratch));
+            }
         }
     } else {
         let chunk = n.div_ceil(workers);
         std::thread::scope(|s| {
-            for (ci, slots) in out.chunks_mut(chunk).enumerate() {
+            for ((ci, slots), scratch) in out.chunks_mut(chunk).enumerate().zip(scratches) {
                 let f = &f;
                 s.spawn(move || {
                     let base = ci * chunk;
                     for (j, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(f(base + j));
+                        *slot = Some(f(base + j, scratch));
                     }
                 });
             }
@@ -81,6 +113,33 @@ mod tests {
         for t in [1, 2, 4, 8, 0] {
             assert_eq!(parallel_fill(257, t, |i| i * i), want, "threads={t}");
         }
+    }
+
+    #[test]
+    fn fill_with_hands_each_worker_its_own_scratch() {
+        let want: Vec<usize> = (0..101).map(|i| 3 * i).collect();
+        for t in [1, 2, 4, 8, 0] {
+            let mut scratches = vec![0usize; 4];
+            let got = parallel_fill_with(101, t, &mut scratches, |i, calls: &mut usize| {
+                *calls += 1;
+                3 * i
+            });
+            assert_eq!(got, want, "threads={t}");
+            // Every slot ran exactly once, on some worker's scratch, and
+            // no more workers ran than there are scratches.
+            assert_eq!(scratches.iter().sum::<usize>(), 101, "threads={t}");
+        }
+        let mut one = [0usize];
+        assert_eq!(
+            parallel_fill_with(5, 8, &mut one, |i, _| i),
+            vec![0, 1, 2, 3, 4]
+        );
+        assert_eq!(one[0], 0, "the closure above never touched the scratch");
+        let mut none: [usize; 0] = [];
+        assert_eq!(
+            parallel_fill_with(0, 4, &mut none, |i, _| i),
+            Vec::<usize>::new()
+        );
     }
 
     #[test]

@@ -161,14 +161,9 @@ impl BenchmarkGroup<'_> {
 }
 
 /// The benchmark harness entry point.
+#[derive(Default)]
 pub struct Criterion {
     filter: Option<String>,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion { filter: None }
-    }
 }
 
 impl Criterion {

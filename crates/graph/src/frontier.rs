@@ -635,14 +635,12 @@ mod tests {
                 let mut base = f64::from(seed_key);
                 dial.push_or_decrease(0, base);
                 heap.push_or_decrease(0, base);
-                let mut next = 1;
-                for &l in &lens {
+                for (i, &l) in lens.iter().enumerate() {
                     let (a, b) = (dial.pop(), heap.pop());
                     prop_assert_eq!(a, b, "round {}", round);
                     if let Some((_, k)) = a { base = k; }
                     let cand = base + f64::from(l);
-                    let id = next % 64;
-                    next += 1;
+                    let id = (i + 1) % 64;
                     prop_assert_eq!(
                         dial.push_or_decrease(id, cand),
                         heap.push_or_decrease(id, cand)

@@ -4,8 +4,6 @@
 //! approach, and exact min-cuts serve as oracles when testing the heuristic
 //! components.
 
-use std::collections::VecDeque;
-
 /// Floating-point slack for residual-capacity comparisons.
 const EPS: f64 = 1e-12;
 
@@ -14,6 +12,10 @@ const EPS: f64 = 1e-12;
 /// Arcs are added with [`add_arc`](FlowNetwork::add_arc); each arc implicitly
 /// creates a residual reverse arc of capacity 0. For an undirected edge, add
 /// two opposing arcs with the same capacity.
+///
+/// A network can be cleared with [`reset`](FlowNetwork::reset) and rebuilt
+/// without giving back its buffers, so a caller that solves many small
+/// networks allocates only while they grow.
 #[derive(Clone, Debug)]
 pub struct FlowNetwork {
     // Arc i and its reverse are paired as (2k, 2k+1).
@@ -22,9 +24,16 @@ pub struct FlowNetwork {
     // Capacity each arc was created with, so flow can be recovered without
     // trusting the caller to remember it.
     orig: Vec<f64>,
+    // Out-arcs of each node in insertion order. Only the first `n` lists
+    // are live; the rest are empty buffers kept for a later `reset`.
     adj: Vec<Vec<u32>>,
+    n: usize,
     level: Vec<i32>,
     iter: Vec<usize>,
+    // BFS queue (read through a cursor) and the DFS's current path, kept
+    // so a solve allocates nothing once the buffers have grown.
+    queue: Vec<u32>,
+    path: Vec<usize>,
 }
 
 impl FlowNetwork {
@@ -35,14 +44,36 @@ impl FlowNetwork {
             cap: Vec::new(),
             orig: Vec::new(),
             adj: vec![Vec::new(); n],
+            n,
             level: vec![0; n],
             iter: vec![0; n],
+            queue: Vec::new(),
+            path: Vec::new(),
         }
+    }
+
+    /// Clears the network to `n` nodes and no arcs, keeping its buffers.
+    /// The result behaves exactly like [`FlowNetwork::new(n)`](FlowNetwork::new).
+    pub fn reset(&mut self, n: usize) {
+        for out in &mut self.adj[..self.n] {
+            out.clear();
+        }
+        if self.adj.len() < n {
+            self.adj.resize_with(n, Vec::new);
+        }
+        self.n = n;
+        self.head.clear();
+        self.cap.clear();
+        self.orig.clear();
+        self.level.clear();
+        self.level.resize(n, 0);
+        self.iter.clear();
+        self.iter.resize(n, 0);
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.n
     }
 
     /// Adds a directed arc `from -> to` with capacity `capacity` and returns
@@ -52,10 +83,7 @@ impl FlowNetwork {
     ///
     /// Panics if an endpoint is out of range or the capacity is negative/NaN.
     pub fn add_arc(&mut self, from: usize, to: usize, capacity: f64) -> usize {
-        assert!(
-            from < self.adj.len() && to < self.adj.len(),
-            "arc endpoint out of range"
-        );
+        assert!(from < self.n && to < self.n, "arc endpoint out of range");
         assert!(capacity >= 0.0, "arc capacity must be non-negative");
         let id = self.head.len();
         self.adj[from].push(id as u32);
@@ -72,10 +100,7 @@ impl FlowNetwork {
     /// Adds an undirected edge as a pair of opposing arcs of capacity
     /// `capacity` each; returns the forward arc index.
     pub fn add_undirected(&mut self, a: usize, b: usize, capacity: f64) -> usize {
-        assert!(
-            a < self.adj.len() && b < self.adj.len(),
-            "edge endpoint out of range"
-        );
+        assert!(a < self.n && b < self.n, "edge endpoint out of range");
         assert!(capacity >= 0.0, "edge capacity must be non-negative");
         // An undirected edge is one arc pair whose *reverse* also has full
         // capacity, so flow can use either direction.
@@ -123,21 +148,32 @@ impl FlowNetwork {
         self.cap[arc]
     }
 
+    /// Labels the level graph breadth-first from `s` and stops as soon as
+    /// it labels `t`. Every node left unlabelled would sit at `t`'s level
+    /// or deeper, and no level-graph path to `t` passes through such a
+    /// node, so the blocking flow below finds exactly the augmenting paths
+    /// a full labelling would; it only skips dead ends.
     fn bfs(&mut self, s: usize, t: usize) -> bool {
-        self.level.iter_mut().for_each(|l| *l = -1);
-        let mut q = VecDeque::new();
+        self.level.fill(-1);
+        self.queue.clear();
         self.level[s] = 0;
-        q.push_back(s);
-        while let Some(v) = q.pop_front() {
+        self.queue.push(s as u32);
+        let mut next = 0;
+        while let Some(&v) = self.queue.get(next) {
+            next += 1;
+            let v = v as usize;
             for &a in &self.adj[v] {
                 let u = self.head[a as usize] as usize;
                 if self.cap[a as usize] > EPS && self.level[u] < 0 {
                     self.level[u] = self.level[v] + 1;
-                    q.push_back(u);
+                    if u == t {
+                        return true;
+                    }
+                    self.queue.push(u as u32);
                 }
             }
         }
-        self.level[t] >= 0
+        false
     }
 
     /// Finds one augmenting path `s`→`t` in the level graph and pushes its
@@ -150,15 +186,15 @@ impl FlowNetwork {
     /// recursive version, so results are bit-for-bit unchanged.
     fn dfs(&mut self, s: usize, t: usize, pushed: f64) -> f64 {
         // `path` holds the arcs of the current partial path from `s`.
-        let mut path: Vec<usize> = Vec::new();
+        self.path.clear();
         let mut v = s;
         loop {
             if v == t {
                 let mut d = pushed;
-                for &a in &path {
+                for &a in &self.path {
                     d = d.min(self.cap[a]);
                 }
-                for &a in &path {
+                for &a in &self.path {
                     self.cap[a] -= d;
                     self.cap[a ^ 1] += d;
                 }
@@ -171,7 +207,7 @@ impl FlowNetwork {
                 if self.cap[a] > EPS && self.level[u] == self.level[v] + 1 {
                     // Descend; `iter[v]` stays put so a later path can reuse
                     // this arc until it saturates.
-                    path.push(a);
+                    self.path.push(a);
                     v = u;
                     advanced = true;
                     break;
@@ -180,7 +216,7 @@ impl FlowNetwork {
             }
             if !advanced {
                 // Dead end: retreat one hop and retire the arc that led here.
-                match path.pop() {
+                match self.path.pop() {
                     Some(a) => {
                         v = self.head[a ^ 1] as usize;
                         self.iter[v] += 1;
@@ -197,14 +233,11 @@ impl FlowNetwork {
     ///
     /// Panics if `s == t` or either is out of range.
     pub fn max_flow(&mut self, s: usize, t: usize) -> f64 {
-        assert!(
-            s < self.adj.len() && t < self.adj.len(),
-            "terminal out of range"
-        );
+        assert!(s < self.n && t < self.n, "terminal out of range");
         assert_ne!(s, t, "source and sink must differ");
         let mut flow = 0.0;
         while self.bfs(s, t) {
-            self.iter.iter_mut().for_each(|i| *i = 0);
+            self.iter.fill(0);
             loop {
                 let f = self.dfs(s, t, f64::INFINITY);
                 if f <= EPS {
@@ -218,27 +251,38 @@ impl FlowNetwork {
 
     /// After [`max_flow`](FlowNetwork::max_flow), returns the source side of
     /// a minimum cut: every node reachable from `s` in the residual network.
-    pub fn min_cut_side(&self, s: usize) -> Vec<bool> {
-        let mut side = vec![false; self.adj.len()];
-        let mut q = VecDeque::new();
+    pub fn min_cut_side(&mut self, s: usize) -> Vec<bool> {
+        let mut side = Vec::new();
+        self.min_cut_side_into(s, &mut side);
+        side
+    }
+
+    /// [`min_cut_side`](FlowNetwork::min_cut_side) into a caller's buffer,
+    /// which is cleared and resized to [`num_nodes`](FlowNetwork::num_nodes).
+    pub fn min_cut_side_into(&mut self, s: usize, side: &mut Vec<bool>) {
+        side.clear();
+        side.resize(self.n, false);
+        self.queue.clear();
         side[s] = true;
-        q.push_back(s);
-        while let Some(v) = q.pop_front() {
-            for &a in &self.adj[v] {
+        self.queue.push(s as u32);
+        let mut next = 0;
+        while let Some(&v) = self.queue.get(next) {
+            next += 1;
+            for &a in &self.adj[v as usize] {
                 let u = self.head[a as usize] as usize;
                 if self.cap[a as usize] > EPS && !side[u] {
                     side[u] = true;
-                    q.push_back(u);
+                    self.queue.push(u as u32);
                 }
             }
         }
-        side
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn classic_diamond() {
@@ -350,6 +394,57 @@ mod tests {
         net.add_arc(2 * n - 1, t, 1.0);
         let f = net.max_flow(s, t);
         assert!((f - 2.0).abs() < 1e-9, "both exits saturate: {f}");
+    }
+
+    /// Adds `arcs` (endpoints folded into `0..n`, self-loops dropped) with
+    /// non-dyadic capacities; every fourth arc is undirected.
+    fn build(net: &mut FlowNetwork, n: usize, arcs: &[(usize, usize, u32)]) -> Vec<usize> {
+        let mut ids = Vec::new();
+        for (k, &(a, b, c)) in arcs.iter().enumerate() {
+            let (a, b) = (a % n, b % n);
+            if a == b {
+                continue;
+            }
+            let cap = 0.1 + 0.37 * f64::from(c % 7) + f64::from(c) / 3.0;
+            ids.push(if k % 4 == 3 {
+                net.add_undirected(a, b, cap)
+            } else {
+                net.add_arc(a, b, cap)
+            });
+        }
+        ids
+    }
+
+    proptest! {
+        /// A network rebuilt through `reset` — after solving networks of
+        /// other shapes, smaller and larger — solves exactly like a fresh
+        /// one: the same max-flow bits, per-arc flow bits and min-cut side.
+        #[test]
+        fn reset_network_solves_like_a_fresh_one(
+            builds in proptest::collection::vec(
+                (2usize..24, proptest::collection::vec((0usize..24, 0usize..24, 0u32..40), 0..90)),
+                1..6,
+            ),
+        ) {
+            let mut reused = FlowNetwork::new(0);
+            let mut side = Vec::new();
+            for (n, arcs) in &builds {
+                let n = *n;
+                let mut fresh = FlowNetwork::new(n);
+                let ids = build(&mut fresh, n, arcs);
+                reused.reset(n);
+                prop_assert_eq!(build(&mut reused, n, arcs), ids.clone());
+                let want = fresh.max_flow(0, n - 1);
+                let got = reused.max_flow(0, n - 1);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "max_flow {} vs {}", got, want);
+                for &a in &ids {
+                    prop_assert_eq!(reused.flow(a).to_bits(), fresh.flow(a).to_bits(), "arc {}", a);
+                    prop_assert_eq!(reused.flow(a ^ 1).to_bits(), fresh.flow(a ^ 1).to_bits());
+                }
+                reused.min_cut_side_into(0, &mut side);
+                prop_assert_eq!(&side, &fresh.min_cut_side(0));
+            }
+        }
     }
 
     #[test]
