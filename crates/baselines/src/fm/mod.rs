@@ -3,14 +3,10 @@
 //! * [`bipartition`] — the two-way pass with gain updates, balance bounds,
 //!   and best-prefix rollback, on a lazy max-heap (handles fractional
 //!   capacities).
-//! * [`buckets`] — the same pass on the original FM bucket array
-//!   (`O(1)` gain updates, integral capacities).
 //! * [`kway`] — recursive bisection into `k` capacity-bounded blocks.
 
 pub mod bipartition;
-pub mod buckets;
 pub mod kway;
 
 pub use bipartition::{fm_bipartition, BisectionBounds, FmResult};
-pub use buckets::fm_bipartition_buckets;
 pub use kway::{direct_kway, recursive_bisection};

@@ -1,14 +1,13 @@
-//! Criterion bench: alternative engines — heap FM vs bucket FM, spectral
-//! seeding, the cluster-coarsened pipeline vs flat FLOW, and the V-cycle's
+//! Criterion bench: alternative engines — FM with and without spectral
+//! seeding, the multilevel V-cycle vs flat FLOW, and the V-cycle's
 //! flow-refinement pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use htp_baselines::fm::bipartition::{fm_bipartition, random_balanced_init, BisectionBounds};
-use htp_baselines::fm::buckets::fm_bipartition_buckets;
 use htp_baselines::spectral::{spectral_fm_bipartition, SpectralParams};
 use htp_bench::{paper_spec, threads_from_env};
-use htp_cluster::pipeline::{clustered_flow_partition, ClusteredFlowParams};
 use htp_cluster::refine::{flow_refine_pass, FlowRefineParams};
+use htp_cluster::vcycle::{vcycle_partition, VCycleParams};
 use htp_core::injector::FlowParams;
 use htp_core::partitioner::{FlowPartitioner, PartitionerParams};
 use htp_core::runtime::Budget;
@@ -35,9 +34,6 @@ fn bench_fm_engines(c: &mut Criterion) {
     group.bench_function("heap", |b| {
         b.iter(|| black_box(fm_bipartition(&h, init.clone(), bounds, 8).unwrap()))
     });
-    group.bench_function("buckets", |b| {
-        b.iter(|| black_box(fm_bipartition_buckets(&h, init.clone(), bounds, 8).unwrap()))
-    });
     group.bench_function("spectral_seed_plus_fm", |b| {
         b.iter(|| {
             black_box(spectral_fm_bipartition(&h, bounds, SpectralParams::default(), 8).unwrap())
@@ -59,15 +55,19 @@ fn bench_multilevel(c: &mut Criterion) {
     );
     let spec = paper_spec(&h);
 
-    // Both pipelines honour the shared HTP_THREADS knob; results are
+    // Both engines honour the shared HTP_THREADS knob; results are
     // bit-identical at any thread count, only the wall-clock moves.
+    let threads = threads_from_env();
     let partitioner = PartitionerParams {
         flow: FlowParams {
-            threads: threads_from_env(),
+            threads,
             ..FlowParams::default()
         },
         ..PartitionerParams::default()
     };
+    let mut vcycle = VCycleParams::default();
+    vcycle.partitioner.flow.threads = threads;
+    vcycle.refine.threads = threads;
 
     let mut group = c.benchmark_group("multilevel_vs_flat");
     group.sample_size(10);
@@ -82,14 +82,10 @@ fn bench_multilevel(c: &mut Criterion) {
             )
         })
     });
-    group.bench_function("clustered_flow", |b| {
+    group.bench_function("vcycle", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(13);
-            let params = ClusteredFlowParams {
-                partitioner,
-                ..ClusteredFlowParams::default()
-            };
-            black_box(clustered_flow_partition(&h, &spec, params, &mut rng).unwrap())
+            black_box(vcycle_partition(&h, &spec, vcycle, &mut rng).unwrap())
         })
     });
     group.finish();

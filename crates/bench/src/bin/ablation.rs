@@ -141,9 +141,9 @@ fn main() {
         println!("{t}");
     }
 
-    println!("(e) Multilevel: flow-injection clustering + coarse FLOW vs flat FLOW");
+    println!("(e) Multilevel: the V-cycle vs flat FLOW");
     {
-        use htp_cluster::pipeline::{clustered_flow_partition, ClusteredFlowParams};
+        use htp_cluster::vcycle::{vcycle_partition, VCycleParams};
         let spec = paper_spec(&h);
         let mut t = htp_bench::TextTable::new(["variant", "cost", "secs"]);
         let mut rng = StdRng::seed_from_u64(EXPERIMENT_SEED);
@@ -159,10 +159,13 @@ fn main() {
         ]);
         let mut rng = StdRng::seed_from_u64(EXPERIMENT_SEED);
         let start = Instant::now();
-        let multi = clustered_flow_partition(&h, &spec, ClusteredFlowParams::default(), &mut rng)
-            .expect("multilevel FLOW succeeds");
+        let multi = vcycle_partition(&h, &spec, VCycleParams::default(), &mut rng)
+            .expect("the V-cycle succeeds");
         t.row([
-            format!("multilevel ({} coarse)", multi.coarse_nodes),
+            format!(
+                "V-cycle ({} levels, {} coarsest)",
+                multi.num_levels, multi.coarsest_nodes
+            ),
             format!("{:.0}", multi.cost),
             format!("{:.1}", start.elapsed().as_secs_f64()),
         ]);

@@ -50,49 +50,6 @@ pub fn net_order(h: &Hypergraph, profile: &CongestionProfile) -> Vec<usize> {
     order
 }
 
-/// Clusters `h` by merging along nets in ascending congestion order, never
-/// letting a cluster exceed `max_cluster_size`.
-///
-/// # Panics
-///
-/// Panics if `max_cluster_size` is smaller than some node (that node could
-/// never be placed in any cluster, including its own).
-pub fn agglomerate(
-    h: &Hypergraph,
-    profile: &CongestionProfile,
-    max_cluster_size: u64,
-) -> Clustering {
-    agglomerate_ordered(h, &net_order(h, profile), &[], max_cluster_size)
-}
-
-/// Like [`agglomerate`], but every `filler_stride`-th node is frozen as a
-/// singleton cluster (`0` freezes nothing).
-///
-/// Repeated agglomeration makes every node chunky, and chunky nodes cannot
-/// land inside the tight block-size windows the constructive partitioner
-/// has to hit — the coarse instance becomes infeasible even though the
-/// fine one is not. Keeping a stripe of singletons at each level preserves
-/// a small-size tail the carve can use as filler.
-///
-/// # Panics
-///
-/// Panics if `max_cluster_size` is smaller than some node.
-pub fn agglomerate_with_fillers(
-    h: &Hypergraph,
-    profile: &CongestionProfile,
-    max_cluster_size: u64,
-    filler_stride: usize,
-) -> Clustering {
-    let frozen: Vec<bool> = if filler_stride == 0 {
-        Vec::new()
-    } else {
-        (0..h.num_nodes())
-            .map(|v| v.is_multiple_of(filler_stride))
-            .collect()
-    };
-    agglomerate_ordered(h, &net_order(h, profile), &frozen, max_cluster_size)
-}
-
 /// The agglomeration core: merges along `order` (a permutation of the net
 /// ids, typically from [`net_order`]) under the size cap, keeping every
 /// node with `frozen[v]` set as a singleton cluster. `frozen` may be empty
@@ -176,7 +133,7 @@ mod tests {
         let inst = clustered_hypergraph(params, &mut rng);
         let h = &inst.hypergraph;
         let profile = flow_congestion(h, CongestionParams::default(), &mut rng);
-        let clustering = agglomerate(h, &profile, 8);
+        let clustering = agglomerate_ordered(h, &net_order(h, &profile), &[], 8);
 
         // Every cluster must be pure (all members from one planted group).
         for c in 0..clustering.count {
@@ -204,8 +161,9 @@ mod tests {
         let inst = clustered_hypergraph(ClusteredParams::default(), &mut rng);
         let h = &inst.hypergraph;
         let profile = flow_congestion(h, CongestionParams::default(), &mut rng);
+        let order = net_order(h, &profile);
         for cap in [1u64, 3, 7, 16] {
-            let clustering = agglomerate(h, &profile, cap);
+            let clustering = agglomerate_ordered(h, &order, &[], cap);
             assert!(clustering.sizes(h).iter().all(|&s| s <= cap), "cap {cap}");
         }
     }
@@ -216,7 +174,7 @@ mod tests {
         let inst = clustered_hypergraph(ClusteredParams::default(), &mut rng);
         let h = &inst.hypergraph;
         let profile = flow_congestion(h, CongestionParams::default(), &mut rng);
-        let clustering = agglomerate(h, &profile, 1);
+        let clustering = agglomerate_ordered(h, &net_order(h, &profile), &[], 1);
         assert_eq!(clustering.count, h.num_nodes());
     }
 
@@ -236,8 +194,5 @@ mod tests {
                 assert_eq!(members, 1, "frozen node {v} merged");
             }
         }
-        // The stride wrapper is exactly the mask path.
-        let strided = agglomerate_with_fillers(h, &profile, 16, 3);
-        assert_eq!(strided.cluster_of, clustering.cluster_of);
     }
 }

@@ -1,5 +1,5 @@
-//! Circuit clustering by stochastic flow injection, and a cluster-coarsened
-//! FLOW pipeline.
+//! Circuit clustering by stochastic flow injection, and the multilevel
+//! V-cycle built on it.
 //!
 //! The paper's Algorithm 2 descends from the clustering method of Yeh,
 //! Cheng & Lin (its reference \[17\]): inject flow on shortest paths between
@@ -12,8 +12,6 @@
 //!
 //! * [`congestion`] — pairwise stochastic flow injection; per-net flows.
 //! * [`clusters`] — size-capped agglomeration along low-congestion nets.
-//! * [`pipeline`] — cluster → contract → FLOW on the coarse netlist →
-//!   project back → optional hierarchical-FM refinement (two levels).
 //! * [`vcycle`] — the full multilevel V-cycle: recursive coarsening, FLOW
 //!   at the coarsest level, flow-based boundary refinement per level.
 //! * [`refine`] — the Heuer–Sanders–Schlag-style flow refinement pass.
@@ -23,6 +21,5 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod clusters;
 pub mod congestion;
-pub mod pipeline;
 pub mod refine;
 pub mod vcycle;

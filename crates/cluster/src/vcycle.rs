@@ -1,8 +1,8 @@
 //! The multilevel V-cycle: recursive coarsening, FLOW at the coarsest
 //! level, and level-by-level uncoarsening with flow-based refinement.
 //!
-//! The two-level [`crate::pipeline`] proves the coarsen→FLOW→project
-//! scheme; this module recurses it. The down pass agglomerates repeatedly
+//! Coarsen, solve FLOW on the coarse netlist, project back: this module
+//! recurses that scheme. The down pass agglomerates repeatedly
 //! — congestion-guided while the graph is small enough to afford the
 //! stochastic routing, heavy-edge-rated above that — until the coarsest
 //! netlist fits a node threshold. FLOW solves the coarsest instance, and
@@ -21,16 +21,16 @@ use std::time::Instant;
 
 use rand::Rng;
 
+use htp_baselines::hfm::{improve, HfmParams};
 use htp_core::injector::FlowParams;
-use htp_core::partitioner::{FlowPartitioner, PartitionerParams};
+use htp_core::partitioner::{solve_budgeted, FlowPartitioner, PartitionerParams};
 use htp_core::runtime::{Budget, RunOutcome};
 use htp_core::CoreError;
-use htp_model::{cost, HierarchicalPartition, TreeSpec};
+use htp_model::{cost, HierarchicalPartition, PartitionBuilder, TreeSpec, VertexId};
 use htp_netlist::{contract_with, ContractScratch, Hypergraph, NodeId};
 
 use crate::clusters::{agglomerate_ordered, net_order, Clustering};
 use crate::congestion::{flow_congestion, CongestionParams, CongestionProfile};
-use crate::pipeline::{project, refine_partition, solve_budgeted};
 use crate::refine::{flow_refine_pass, FlowRefineParams, FlowRefineReport};
 
 /// A coarsening level is abandoned when it shrinks the node count by less
@@ -82,8 +82,6 @@ pub struct VCycleParams {
     pub congestion_max_nodes: usize,
     /// Inner partitioner parameters for the coarsest solve.
     pub partitioner: PartitionerParams,
-    /// Run the flow-based boundary refinement at each uncoarsening level.
-    pub flow_refine: bool,
     /// Parameters of the flow-refinement pass.
     pub refine: FlowRefineParams,
     /// Run the hierarchical-FM sweep after the flow pass on every level
@@ -137,7 +135,6 @@ impl Default for VCycleParams {
                     ..FlowParams::default()
                 },
             },
-            flow_refine: true,
             refine: FlowRefineParams::default(),
             hfm_max_nodes: 4096,
             record_levels: false,
@@ -378,22 +375,14 @@ pub fn vcycle_partition_with_budget<R: Rng + ?Sized>(
                         panic!("fault injection: scripted refinement panic");
                     }
                 }
-                let (refined, refined_cost, report) = if params.flow_refine {
-                    flow_refine_pass(
-                        fine,
-                        spec,
-                        &projected,
-                        projected_cost,
-                        &params.refine,
-                        budget,
-                    )?
-                } else {
-                    (
-                        projected.clone(),
-                        projected_cost,
-                        FlowRefineReport::default(),
-                    )
-                };
+                let (refined, refined_cost, report) = flow_refine_pass(
+                    fine,
+                    spec,
+                    &projected,
+                    projected_cost,
+                    &params.refine,
+                    budget,
+                )?;
                 // HFM sweep on top of the flow pass, at levels small
                 // enough for FM's full move scan; kept only when it
                 // strictly improves.
@@ -490,6 +479,57 @@ pub fn vcycle_partition_with_budget<R: Rng + ?Sized>(
             Vec::new()
         },
     })
+}
+
+/// Improves `p` with the hierarchical FM pass, mapping every baseline
+/// failure to a typed [`CoreError`] (an invalid partition surfaces as
+/// [`CoreError::Model`], anything else as [`CoreError::Refinement`] —
+/// never a panic).
+///
+/// # Errors
+///
+/// Returns [`CoreError::Model`] when `p` is not a valid partition of `h`,
+/// and [`CoreError::Refinement`] for any other baseline-layer failure.
+fn refine_partition(
+    h: &Hypergraph,
+    spec: &TreeSpec,
+    p: &HierarchicalPartition,
+) -> Result<(HierarchicalPartition, f64), CoreError> {
+    match improve(h, spec, p, HfmParams::default()) {
+        Ok(r) => {
+            let c = r.cost_after;
+            Ok((r.partition, c))
+        }
+        Err(htp_baselines::BaselineError::Model(m)) => Err(CoreError::Model(m)),
+        Err(other) => Err(CoreError::Refinement {
+            what: format!("hierarchical FM failed on the projected partition: {other}"),
+        }),
+    }
+}
+
+/// Replicates the coarse partition's tree for the fine netlist, assigning
+/// each fine node to its cluster's leaf.
+fn project(
+    coarse: &HierarchicalPartition,
+    cluster_of: &[usize],
+    fine_nodes: usize,
+) -> Result<HierarchicalPartition, htp_model::ModelError> {
+    let mut b = PartitionBuilder::new(fine_nodes, coarse.root_level());
+    let mut map = vec![VertexId(0); coarse.num_vertices()];
+    map[coarse.root().index()] = b.root();
+    let mut queue = vec![coarse.root()];
+    while let Some(q) = queue.pop() {
+        for &c in coarse.children(q) {
+            let fine_vertex = b.add_child(map[q.index()], coarse.level(c))?;
+            map[c.index()] = fine_vertex;
+            queue.push(c);
+        }
+    }
+    for (v, &cl) in cluster_of.iter().enumerate().take(fine_nodes) {
+        let coarse_leaf = coarse.leaf_of(NodeId::new(cl));
+        b.assign(NodeId::new(v), map[coarse_leaf.index()])?;
+    }
+    b.build()
 }
 
 /// Per-level counters from the coarsening down pass, aligned with
@@ -758,7 +798,7 @@ pub fn packing_infeasibility(sizes: &[u64], spec: &TreeSpec) -> Option<CoreError
 /// Rates every net for heavy-edge coarsening: utilization becomes
 /// `pins/capacity`, so small, heavy nets merge first — the classic
 /// heavy-edge rating expressed as a [`CongestionProfile`] so
-/// [`agglomerate`] can consume it unchanged.
+/// [`agglomerate_ordered`] can consume it unchanged.
 fn heavy_edge_profile(h: &Hypergraph) -> CongestionProfile {
     CongestionProfile {
         flow: h.nets().map(|e| h.net_pins(e).len() as f64).collect(),
@@ -852,6 +892,49 @@ mod tests {
                 "refinement never hurts at any level"
             );
         }
+    }
+
+    #[test]
+    fn projection_preserves_block_comembership() {
+        let (h, spec) = workload(256, 3);
+        let mut rng = StdRng::seed_from_u64(16);
+        let cap = ((spec.capacity(0) as f64 * 0.125).floor() as u64).max(1);
+        let profile = flow_congestion(&h, CongestionParams::default(), &mut rng);
+        let clustering = agglomerate_ordered(&h, &net_order(&h, &profile), &[], cap);
+        let coarse = h.contract(&clustering.cluster_of);
+        let coarse_partition = FlowPartitioner::try_new(PartitionerParams::default())
+            .unwrap()
+            .run(&coarse, &spec, &mut rng)
+            .unwrap()
+            .partition;
+        let p = project(&coarse_partition, &clustering.cluster_of, h.num_nodes()).unwrap();
+        validate::validate(&h, &spec, &p).unwrap();
+        // Nodes in one cluster must share a leaf after projection.
+        for v in 0..h.num_nodes() {
+            for u in v + 1..h.num_nodes() {
+                if clustering.cluster_of[v] == clustering.cluster_of[u] {
+                    assert_eq!(p.leaf_of(NodeId::new(v)), p.leaf_of(NodeId::new(u)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corrupted_partition_surfaces_a_typed_error_not_a_panic() {
+        let (h, spec) = workload(256, 3);
+        // Cram every node into one leaf: wildly over capacity, so the FM
+        // baseline must reject it — through a typed error, never a panic.
+        let mut rng = StdRng::seed_from_u64(19);
+        let good = vcycle_partition(&h, &spec, quick_params(), &mut rng)
+            .unwrap()
+            .partition;
+        let one_leaf = good.leaf_of(NodeId::new(0));
+        let corrupted = good.with_assignment(vec![one_leaf; h.num_nodes()]).unwrap();
+        let err = refine_partition(&h, &spec, &corrupted).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Model(_) | CoreError::Refinement { .. }),
+            "expected a typed refinement error, got {err:?}"
+        );
     }
 
     #[test]

@@ -29,27 +29,24 @@
 //!
 //! The growth loop itself runs over a [`CsrHypergraph`] — the same flat
 //! incidence view the probe kernel uses, with the metric lengths baked into
-//! its `net_len` slab. The convenience entry points build the view
-//! internally (they are cold paths); [`find_cut_scoped`] takes a
-//! caller-shared `&CsrHypergraph` so Algorithm 3 flattens once per
-//! construction, not once per carve.
+//! its `net_len` slab. [`find_cut_scoped`] takes it caller-shared, so
+//! Algorithm 3 flattens once per construction, not once per carve.
 
 use rand::{Rng, RngExt};
 
 use htp_netlist::{CsrHypergraph, Hypergraph, NodeId};
 
 use crate::runtime::{Budget, Interrupt};
-use crate::SpreadingMetric;
 use htp_graph::IndexedMinHeap;
 
 /// How many growth-loop iterations pass between budget checks in
-/// [`find_cut_budgeted`]. Each iteration is a cheap heap operation, so
+/// [`find_cut_scoped`]. Each iteration is a cheap heap operation, so
 /// checking the (possibly `Instant::now()`-backed) budget every iteration
 /// would dominate; 256 keeps the interrupt latency well under a
 /// millisecond while making the check cost invisible.
 const BUDGET_CHECK_STRIDE: u32 = 256;
 
-/// The block selected by [`find_cut`].
+/// The block selected by [`find_cut_scoped`].
 #[derive(Clone, Debug)]
 pub struct FindCutResult {
     /// The selected nodes, in growth order.
@@ -116,108 +113,12 @@ impl FindCutScratch {
     }
 }
 
-/// The node/net visibility rule a growth runs under. Monomorphised so the
-/// whole-graph path pays nothing for the masked variant's existence.
-trait Scope: Copy {
-    /// Is `v` part of the growable scope?
-    fn contains(self, v: u32) -> bool;
-    /// Number of in-scope pins of `e`.
-    fn net_pins(self, csr: &CsrHypergraph, e: u32) -> u32;
-}
-
-/// Every node and pin is visible.
-#[derive(Clone, Copy)]
-struct FullScope;
-
-impl Scope for FullScope {
-    #[inline]
-    fn contains(self, _v: u32) -> bool {
-        true
-    }
-    #[inline]
-    fn net_pins(self, csr: &CsrHypergraph, e: u32) -> u32 {
-        csr.net_pins(e).len() as u32
-    }
-}
-
-/// Only alive nodes are visible; pin counts come from the caller's
-/// incrementally-maintained table.
-#[derive(Clone, Copy)]
-struct MaskScope<'a> {
-    alive: &'a [bool],
-    alive_pins: &'a [u32],
-}
-
-impl Scope for MaskScope<'_> {
-    #[inline]
-    fn contains(self, v: u32) -> bool {
-        self.alive[v as usize]
-    }
-    #[inline]
-    fn net_pins(self, _csr: &CsrHypergraph, e: u32) -> u32 {
-        self.alive_pins[e as usize]
-    }
-}
-
-/// Grows a block and returns the minimum-cut prefix with size in
-/// `[lb, ub]`.
+/// Grows a block inside the alive sub-hypergraph and returns the
+/// minimum-cut prefix with size in `[lb, ub]`.
 ///
-/// If no prefix lands in the window (only possible when the total size is
+/// If no prefix lands in the window (only possible when the alive size is
 /// below `lb`), the entire grown set is returned with
 /// [`in_window`](FindCutResult::in_window) set to `false`.
-///
-/// # Panics
-///
-/// Panics if the hypergraph is empty, `lb > ub`, or the metric's net count
-/// disagrees with the hypergraph's.
-pub fn find_cut<R: Rng + ?Sized>(
-    h: &Hypergraph,
-    metric: &SpreadingMetric,
-    lb: u64,
-    ub: u64,
-    rng: &mut R,
-) -> FindCutResult {
-    match find_cut_budgeted(h, metric, lb, ub, rng, &Budget::unlimited()) {
-        Ok(r) => r,
-        Err(_) => unreachable!("an unlimited budget never interrupts"),
-    }
-}
-
-/// [`find_cut`] under a [`Budget`]: the growth loop polls
-/// [`Budget::check_time`] every `BUDGET_CHECK_STRIDE` (256) iterations and
-/// returns the interrupt instead of a block when the deadline passes or the
-/// run is cancelled mid-growth. Round/probe caps are *not* consulted —
-/// those meter the metric phase, and an exhausted metric budget must not
-/// abort construction on the metric already in hand.
-///
-/// # Errors
-///
-/// The [`Interrupt`] that stopped the growth.
-///
-/// # Panics
-///
-/// As [`find_cut`].
-pub fn find_cut_budgeted<R: Rng + ?Sized>(
-    h: &Hypergraph,
-    metric: &SpreadingMetric,
-    lb: u64,
-    ub: u64,
-    rng: &mut R,
-    budget: &Budget,
-) -> Result<FindCutResult, Interrupt> {
-    assert!(h.num_nodes() > 0, "cannot cut an empty hypergraph");
-    assert_eq!(
-        h.num_nets(),
-        metric.len(),
-        "metric/hypergraph net count mismatch"
-    );
-    let csr = CsrHypergraph::with_lengths(h, metric.lengths());
-    let mut scratch = FindCutScratch::new(h);
-    let pool: Vec<NodeId> = h.nodes().collect();
-    grow_cut(&csr, FullScope, &pool, lb, ub, rng, budget, &mut scratch)
-}
-
-/// [`find_cut_budgeted`] restricted to the alive sub-hypergraph.
 ///
 /// `csr` is the flat view of the host hypergraph with the metric lengths
 /// already in its `net_len` slab (build it once per construction with
@@ -226,9 +127,16 @@ pub fn find_cut_budgeted<R: Rng + ?Sized>(
 /// `alive_pins[e]` the number of alive pins of each net — the caller
 /// maintains both incrementally while carving. The growth never touches a
 /// dead node: dead pins neither join the frontier nor count toward a net's
-/// pin total, so the result is identical to running [`find_cut_budgeted`]
-/// on the induced sub-hypergraph (modulo node renaming and the random
-/// stream).
+/// pin total, so the result is identical to growing over the induced
+/// sub-hypergraph with every node alive (modulo node renaming and the
+/// random stream).
+///
+/// The growth loop polls [`Budget::check_time`] every
+/// `BUDGET_CHECK_STRIDE` (256) iterations and returns the interrupt
+/// instead of a block when the deadline passes or the run is cancelled
+/// mid-growth. Round/probe caps are *not* consulted — those meter the
+/// metric phase, and an exhausted metric budget must not abort
+/// construction on the metric already in hand.
 ///
 /// `scratch` is reset on entry in `O(touched)` and may be reused across
 /// calls with different masks.
@@ -239,7 +147,7 @@ pub fn find_cut_budgeted<R: Rng + ?Sized>(
 ///
 /// # Panics
 ///
-/// As [`find_cut`], with "empty hypergraph" meaning an empty `pool`.
+/// Panics if `pool` is empty or `lb > ub`.
 #[allow(clippy::too_many_arguments)]
 pub fn find_cut_scoped<R: Rng + ?Sized>(
     csr: &CsrHypergraph,
@@ -253,22 +161,6 @@ pub fn find_cut_scoped<R: Rng + ?Sized>(
     scratch: &mut FindCutScratch,
 ) -> Result<FindCutResult, Interrupt> {
     assert!(!pool.is_empty(), "cannot cut an empty hypergraph");
-    let scope = MaskScope { alive, alive_pins };
-    grow_cut(csr, scope, pool, lb, ub, rng, budget, scratch)
-}
-
-/// The shared growth loop behind both public entry points.
-#[allow(clippy::too_many_arguments)]
-fn grow_cut<R: Rng + ?Sized, S: Scope>(
-    csr: &CsrHypergraph,
-    scope: S,
-    pool: &[NodeId],
-    lb: u64,
-    ub: u64,
-    rng: &mut R,
-    budget: &Budget,
-    scratch: &mut FindCutScratch,
-) -> Result<FindCutResult, Interrupt> {
     assert!(lb <= ub, "empty size window [{lb}, {ub}]");
 
     scratch.reset();
@@ -298,7 +190,7 @@ fn grow_cut<R: Rng + ?Sized, S: Scope>(
         touched_nodes.push(v);
         in_set[v as usize] = true;
         for &e in csr.node_nets(v) {
-            let pins = scope.net_pins(csr, e);
+            let pins = alive_pins[e as usize];
             if pins <= 1 {
                 // A net with one in-scope pin can never cross the block
                 // boundary; skipping it entirely (rather than adding and
@@ -317,7 +209,7 @@ fn grow_cut<R: Rng + ?Sized, S: Scope>(
                 // The net just reached the block: its (in-scope) outside
                 // pins become reachable at distance d(e).
                 for &w in csr.net_pins(e) {
-                    if scope.contains(w) && !in_set[w as usize] {
+                    if alive[w as usize] && !in_set[w as usize] {
                         frontier.push_or_decrease(w as usize, csr.net_len(e));
                     }
                 }
@@ -417,10 +309,50 @@ fn grow_cut<R: Rng + ?Sized, S: Scope>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SpreadingMetric;
     use htp_netlist::gen::clustered::{clustered_hypergraph, ClusteredParams};
     use htp_netlist::HypergraphBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Builds the alive mask and per-net alive-pin table for `keep`.
+    fn scoped_setup(h: &Hypergraph, keep: &[NodeId]) -> (Vec<bool>, Vec<u32>) {
+        let mut alive = vec![false; h.num_nodes()];
+        for &v in keep {
+            alive[v.index()] = true;
+        }
+        let alive_pins: Vec<u32> = h
+            .nets()
+            .map(|e| h.net_pins(e).iter().filter(|v| alive[v.index()]).count() as u32)
+            .collect();
+        (alive, alive_pins)
+    }
+
+    /// [`find_cut_scoped`] over the whole of `h`: every node alive.
+    fn find_cut_all(
+        h: &Hypergraph,
+        metric: &SpreadingMetric,
+        lb: u64,
+        ub: u64,
+        rng: &mut StdRng,
+        budget: &Budget,
+    ) -> Result<FindCutResult, Interrupt> {
+        let all: Vec<NodeId> = h.nodes().collect();
+        let (alive, alive_pins) = scoped_setup(h, &all);
+        let csr = CsrHypergraph::with_lengths(h, metric.lengths());
+        let mut scratch = FindCutScratch::new(h);
+        find_cut_scoped(
+            &csr,
+            &all,
+            &alive,
+            &alive_pins,
+            lb,
+            ub,
+            rng,
+            budget,
+            &mut scratch,
+        )
+    }
 
     /// Recomputes the cut of a node set by brute force.
     fn brute_cut(h: &Hypergraph, nodes: &[NodeId]) -> f64 {
@@ -448,7 +380,7 @@ mod tests {
         let m = SpreadingMetric::from_lengths(vec![1.0; h.num_nets()]);
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let r = find_cut(h, &m, 12, 20, &mut rng);
+            let r = find_cut_all(h, &m, 12, 20, &mut rng, &Budget::unlimited()).unwrap();
             assert!(r.in_window);
             let size = h.subset_size(r.nodes.iter().copied());
             assert!((12..=20).contains(&size), "size {size}");
@@ -486,7 +418,15 @@ mod tests {
             })
             .collect();
         let m = SpreadingMetric::from_lengths(lengths);
-        let r = find_cut(h, &m, 12, 12, &mut StdRng::seed_from_u64(1));
+        let r = find_cut_all(
+            h,
+            &m,
+            12,
+            12,
+            &mut StdRng::seed_from_u64(1),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert!(r.in_window);
         let clusters: Vec<usize> = r.nodes.iter().map(|v| inst.cluster_of[v.index()]).collect();
         assert!(
@@ -508,7 +448,15 @@ mod tests {
         b.add_net(1.0, [NodeId(2), NodeId(3)]).unwrap();
         let h = b.build().unwrap();
         let m = SpreadingMetric::from_lengths(vec![1.0, 1.0]);
-        let r = find_cut(&h, &m, 3, 3, &mut StdRng::seed_from_u64(2));
+        let r = find_cut_all(
+            &h,
+            &m,
+            3,
+            3,
+            &mut StdRng::seed_from_u64(2),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert!(r.in_window);
         assert_eq!(r.nodes.len(), 3);
     }
@@ -519,7 +467,15 @@ mod tests {
         b.add_net(1.0, [NodeId(0), NodeId(1)]).unwrap();
         let h = b.build().unwrap();
         let m = SpreadingMetric::from_lengths(vec![1.0]);
-        let r = find_cut(&h, &m, 5, 9, &mut StdRng::seed_from_u64(3));
+        let r = find_cut_all(
+            &h,
+            &m,
+            5,
+            9,
+            &mut StdRng::seed_from_u64(3),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert!(!r.in_window);
         assert_eq!(r.nodes.len(), 2, "everything was grown");
     }
@@ -535,7 +491,15 @@ mod tests {
         let h = b.build().unwrap();
         let m = SpreadingMetric::from_lengths(vec![0.1, 9.0, 0.1]);
         for seed in 0..8 {
-            let r = find_cut(&h, &m, 1, 3, &mut StdRng::seed_from_u64(seed));
+            let r = find_cut_all(
+                &h,
+                &m,
+                1,
+                3,
+                &mut StdRng::seed_from_u64(seed),
+                &Budget::unlimited(),
+            )
+            .unwrap();
             assert!(r.in_window);
             // Best achievable cut within the window is 1.0 (cut an end net),
             // never the 5.0 middle net alone.
@@ -560,48 +524,15 @@ mod tests {
         budget.cancel_token().cancel();
         // Small instances may finish before the first stride check; both
         // outcomes are legal, but an interrupt must be `Cancelled`.
-        if let Err(irq) = find_cut_budgeted(h, &m, 12, 20, &mut rng, &budget) {
+        if let Err(irq) = find_cut_all(h, &m, 12, 20, &mut rng, &budget) {
             assert_eq!(irq, Interrupt::Cancelled);
         }
     }
 
     #[test]
-    fn unlimited_budget_matches_the_plain_call() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let inst = clustered_hypergraph(ClusteredParams::default(), &mut rng);
-        let h = &inst.hypergraph;
-        let m = SpreadingMetric::from_lengths(vec![1.0; h.num_nets()]);
-        let r1 = find_cut(h, &m, 12, 20, &mut StdRng::seed_from_u64(4));
-        let r2 = find_cut_budgeted(
-            h,
-            &m,
-            12,
-            20,
-            &mut StdRng::seed_from_u64(4),
-            &Budget::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(r1.nodes, r2.nodes);
-        assert_eq!(r1.cut, r2.cut);
-    }
-
-    /// Builds the alive mask and per-net alive-pin table for `keep`.
-    fn scoped_setup(h: &Hypergraph, keep: &[NodeId]) -> (Vec<bool>, Vec<u32>) {
-        let mut alive = vec![false; h.num_nodes()];
-        for &v in keep {
-            alive[v.index()] = true;
-        }
-        let alive_pins: Vec<u32> = h
-            .nets()
-            .map(|e| h.net_pins(e).iter().filter(|v| alive[v.index()]).count() as u32)
-            .collect();
-        (alive, alive_pins)
-    }
-
-    #[test]
     fn scoped_growth_matches_the_induced_subgraph() {
-        // Masked growth over the host graph must reproduce plain growth on
-        // the induced sub-hypergraph node for node. `keep` is ascending, so
+        // Masked growth over the host graph must reproduce all-alive
+        // growth on the induced sub-hypergraph node for node. `keep` is ascending, so
         // local ids order like global ids and heap tie-breaks agree. One
         // scratch serves all seeds, which also exercises reset-on-entry.
         let mut rng = StdRng::seed_from_u64(9);
@@ -631,7 +562,7 @@ mod tests {
                 &mut scratch,
             )
             .unwrap();
-            let r_local = find_cut_budgeted(
+            let r_local = find_cut_all(
                 &induced.hypergraph,
                 &m_local,
                 10,
@@ -663,7 +594,15 @@ mod tests {
         }
         let h = b.build().unwrap();
         let m = SpreadingMetric::from_lengths(vec![1.0; 30]);
-        let r = find_cut(&h, &m, 60, 60, &mut StdRng::seed_from_u64(11));
+        let r = find_cut_all(
+            &h,
+            &m,
+            60,
+            60,
+            &mut StdRng::seed_from_u64(11),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert!(r.in_window);
         assert_eq!(r.nodes.len(), 60);
         assert!(r.cut.abs() < 1e-9, "nothing crosses the full set");
@@ -676,6 +615,13 @@ mod tests {
         b.add_net(1.0, [NodeId(0), NodeId(1)]).unwrap();
         let h = b.build().unwrap();
         let m = SpreadingMetric::from_lengths(vec![1.0]);
-        let _ = find_cut(&h, &m, 3, 2, &mut StdRng::seed_from_u64(0));
+        let _ = find_cut_all(
+            &h,
+            &m,
+            3,
+            2,
+            &mut StdRng::seed_from_u64(0),
+            &Budget::unlimited(),
+        );
     }
 }

@@ -136,21 +136,6 @@ impl FlowPartitioner {
         Ok(FlowPartitioner { params })
     }
 
-    /// Creates a partitioner with the given parameters, panicking on
-    /// invalid ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iterations` or `constructions_per_metric` is zero, or
-    /// the flow parameters are out of range.
-    #[deprecated(since = "0.2.0", note = "use the fallible `try_new` instead")]
-    pub fn new(params: PartitionerParams) -> Self {
-        match FlowPartitioner::try_new(params) {
-            Ok(p) => p,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// The configured parameters.
     pub fn params(&self) -> PartitionerParams {
         self.params
@@ -287,23 +272,7 @@ impl FlowPartitioner {
         match best {
             Some(mut result) => {
                 result.history = history;
-                let outcome = match interrupt {
-                    None => {
-                        if faulted {
-                            RunOutcome::Degraded
-                        } else {
-                            RunOutcome::Complete
-                        }
-                    }
-                    Some(Interrupt::Cancelled) => RunOutcome::Cancelled,
-                    Some(_) => {
-                        if best_from_partial {
-                            RunOutcome::Degraded
-                        } else {
-                            RunOutcome::DeadlineExceeded
-                        }
-                    }
-                };
+                let outcome = RunOutcome::of_run(interrupt, best_from_partial, faulted);
                 Ok(BudgetedRun { outcome, result })
             }
             None => match interrupt {
@@ -311,6 +280,36 @@ impl FlowPartitioner {
                 None => Err(last_err),
             },
         }
+    }
+}
+
+/// Runs the inner partitioner under `budget`, falling back to one bounded
+/// salvage round when the budget fires before anything was found. Used by
+/// the V-cycle's coarsest solve and the job server's flat path.
+///
+/// # Errors
+///
+/// Propagates [`CoreError`] from the partitioner; an interrupt with a
+/// successful salvage round is *not* an error (the interrupt stays
+/// visible in the returned [`RunOutcome`]).
+pub fn solve_budgeted<R: Rng + ?Sized>(
+    partitioner: &FlowPartitioner,
+    h: &Hypergraph,
+    spec: &TreeSpec,
+    rng: &mut R,
+    budget: &Budget,
+) -> Result<(HierarchicalPartition, RunOutcome), CoreError> {
+    match partitioner.run_with_budget(h, spec, rng, budget) {
+        Ok(run) => Ok((run.result.partition, run.outcome)),
+        Err(CoreError::Interrupted(irq)) => {
+            // The budget died before the solver could salvage anything.
+            // One bounded round still yields a valid (if rough) partition;
+            // the interrupt stays visible in the outcome.
+            let salvage = Budget::unlimited().with_max_rounds(1);
+            let run = partitioner.run_with_budget(h, spec, rng, &salvage)?;
+            Ok((run.result.partition, RunOutcome::from_interrupt(irq)))
+        }
+        Err(e) => Err(e),
     }
 }
 
@@ -440,16 +439,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one iteration")]
-    fn deprecated_constructor_still_panics() {
-        #[allow(deprecated)]
-        let _ = FlowPartitioner::new(PartitionerParams {
-            iterations: 0,
-            ..PartitionerParams::default()
-        });
-    }
-
-    #[test]
     fn run_with_budget_matches_run_when_unlimited() {
         let mut rng = StdRng::seed_from_u64(8);
         let inst = clustered_hypergraph(ClusteredParams::default(), &mut rng);
@@ -489,6 +478,25 @@ mod tests {
             .run_with_budget(&inst.hypergraph, &spec, &mut rng, &budget)
             .unwrap_err();
         assert_eq!(err, CoreError::Interrupted(crate::Interrupt::Cancelled));
+    }
+
+    #[test]
+    fn solve_budgeted_salvages_a_pre_cancelled_budget() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let inst = clustered_hypergraph(ClusteredParams::default(), &mut rng);
+        let h = &inst.hypergraph;
+        let spec = TreeSpec::full_tree(h.total_size(), 2, 2, 1.2, 1.0).unwrap();
+        let budget = Budget::unlimited();
+        budget.cancel_token().cancel(); // cancelled before the solve starts
+        let partitioner = FlowPartitioner::try_new(PartitionerParams::default()).unwrap();
+        let (partition, outcome) =
+            solve_budgeted(&partitioner, h, &spec, &mut rng, &budget).unwrap();
+        assert_eq!(
+            outcome,
+            RunOutcome::Cancelled,
+            "the interrupt must be visible, not swallowed"
+        );
+        htp_model::validate::validate(h, &spec, &partition).unwrap();
     }
 
     #[test]

@@ -90,6 +90,29 @@ impl RunOutcome {
         }
     }
 
+    /// The outcome of a best-of loop over metric runs once it stops —
+    /// Algorithm 1's outer loop and the ECO warm rounds share this rule.
+    /// `interrupt` is what stopped the loop (`None` when every planned
+    /// run finished), `best_from_partial` whether the returned partition
+    /// was constructed from an interrupted metric, and `faulted` whether
+    /// probe faults were contained along the way.
+    ///
+    /// An explicit cancel is always [`RunOutcome::Cancelled`]. Any other
+    /// interrupt gives [`RunOutcome::Degraded`] when the best partition
+    /// was salvaged from the interrupted metric, and
+    /// [`RunOutcome::DeadlineExceeded`] when it came from a metric that
+    /// finished cleanly. A loop that ran to the end is
+    /// [`RunOutcome::Complete`] unless it faulted.
+    pub fn of_run(interrupt: Option<Interrupt>, best_from_partial: bool, faulted: bool) -> Self {
+        match interrupt {
+            None if faulted => RunOutcome::Degraded,
+            None => RunOutcome::Complete,
+            Some(Interrupt::Cancelled) => RunOutcome::Cancelled,
+            Some(_) if best_from_partial => RunOutcome::Degraded,
+            Some(_) => RunOutcome::DeadlineExceeded,
+        }
+    }
+
     /// Severity rank for [`combine`](RunOutcome::combine): higher means a
     /// harder stop.
     fn severity(self) -> u8 {
@@ -612,7 +635,23 @@ mod tests {
                 RunOutcome::from_interrupt(irq),
                 RunOutcome::DeadlineExceeded
             );
+            assert_eq!(
+                RunOutcome::of_run(Some(irq), false, false),
+                RunOutcome::DeadlineExceeded
+            );
+            assert_eq!(
+                RunOutcome::of_run(Some(irq), true, false),
+                RunOutcome::Degraded
+            );
         }
+        for best_from_partial in [false, true] {
+            assert_eq!(
+                RunOutcome::of_run(Some(Interrupt::Cancelled), best_from_partial, true),
+                RunOutcome::Cancelled
+            );
+        }
+        assert_eq!(RunOutcome::of_run(None, false, false), RunOutcome::Complete);
+        assert_eq!(RunOutcome::of_run(None, false, true), RunOutcome::Degraded);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Boundary tests for `find_cut_budgeted`'s stride-256 budget check and
+//! Boundary tests for `find_cut_scoped`'s stride-256 budget check and
 //! for `CsrGrowerScratch` reuse across graphs.
 
 use htp_core::constraint::{probe_source_csr, CsrProbeScratch};
-use htp_core::findcut::find_cut_budgeted;
+use htp_core::findcut::{find_cut_scoped, FindCutResult, FindCutScratch};
 use htp_core::sptree::CsrGrowerScratch;
 use htp_core::{Budget, CancelToken, Interrupt, SpreadingMetric};
 use htp_graph::IndexedMinHeap;
@@ -19,6 +19,33 @@ fn unit_chain(n: usize) -> Hypergraph {
     b.build().unwrap()
 }
 
+/// `find_cut_scoped` over the whole of `h`: every node alive.
+fn find_cut_all(
+    h: &Hypergraph,
+    metric: &SpreadingMetric,
+    lb: u64,
+    ub: u64,
+    rng: &mut StdRng,
+    budget: &Budget,
+) -> Result<FindCutResult, Interrupt> {
+    let all: Vec<NodeId> = h.nodes().collect();
+    let alive = vec![true; h.num_nodes()];
+    let alive_pins: Vec<u32> = h.nets().map(|e| h.net_pins(e).len() as u32).collect();
+    let csr = CsrHypergraph::with_lengths(h, metric.lengths());
+    let mut scratch = FindCutScratch::new(h);
+    find_cut_scoped(
+        &csr,
+        &all,
+        &alive,
+        &alive_pins,
+        lb,
+        ub,
+        rng,
+        budget,
+        &mut scratch,
+    )
+}
+
 fn cancelled_budget() -> Budget {
     let token = CancelToken::new();
     token.cancel();
@@ -33,7 +60,7 @@ fn grow_with_cancelled_budget(ub: u64) -> Result<(), Interrupt> {
     let h = unit_chain(300);
     let metric = SpreadingMetric::from_lengths(vec![1.0; h.num_nets()]);
     let mut rng = StdRng::seed_from_u64(1);
-    find_cut_budgeted(&h, &metric, 1, ub, &mut rng, &cancelled_budget()).map(|r| {
+    find_cut_all(&h, &metric, 1, ub, &mut rng, &cancelled_budget()).map(|r| {
         assert!(r.in_window);
     })
 }
@@ -60,7 +87,7 @@ fn unlimited_budget_passes_the_stride_check() {
     let h = unit_chain(300);
     let metric = SpreadingMetric::from_lengths(vec![1.0; h.num_nets()]);
     let mut rng = StdRng::seed_from_u64(1);
-    let r = find_cut_budgeted(&h, &metric, 1, 257, &mut rng, &Budget::unlimited())
+    let r = find_cut_all(&h, &metric, 1, 257, &mut rng, &Budget::unlimited())
         .expect("an unlimited budget never interrupts");
     assert!(r.in_window);
     let prefix: u64 = r.nodes.iter().map(|&v| h.node_size(v)).sum();

@@ -111,9 +111,12 @@ pub struct EcoReport {
 /// partition across all rounds wins, and that round's converged lengths
 /// become the next edit's warm seed.
 ///
-/// The outcome mapping mirrors `FlowPartitioner::run_with_budget`: an
-/// interrupted metric still constructs (unbudgeted salvage), stops
-/// iterating, and yields [`RunOutcome::Degraded`]; an explicit cancel is
+/// The outcome follows the cold partitioner's rule
+/// ([`RunOutcome::of_run`]): an interrupted metric still constructs
+/// (unbudgeted salvage) and stops iterating. The run is then
+/// [`RunOutcome::Degraded`] when the best partition came from that
+/// interrupted metric and [`RunOutcome::DeadlineExceeded`] when it came
+/// from an earlier, clean round; an explicit cancel is
 /// [`RunOutcome::Cancelled`]; contained probe faults degrade an
 /// otherwise-complete run. Reported stats aggregate every round.
 ///
@@ -204,6 +207,7 @@ fn warm_partition_rounds<R: Rng + ?Sized>(
     // Best across every round, with the lengths of the metric that
     // produced it (the next edit's warm seed).
     let mut best: Option<(HierarchicalPartition, f64, SalvageReport, Vec<f64>)> = None;
+    let mut best_from_partial = false;
     let mut last_err = CoreError::EmptyNetlist;
     let mut interrupt: Option<Interrupt> = None;
     let mut metric_irq: Option<Interrupt> = None;
@@ -283,6 +287,7 @@ fn warm_partition_rounds<R: Rng + ?Sized>(
                     let c = cost::partition_cost(new_h, spec, &p);
                     if best.as_ref().is_none_or(|(_, b, _, _)| c < *b) {
                         best = Some((p, c, salvage, metric.lengths().to_vec()));
+                        best_from_partial = round_irq.is_some();
                     }
                 }
                 Err(CoreError::Interrupted(irq)) => {
@@ -303,17 +308,8 @@ fn warm_partition_rounds<R: Rng + ?Sized>(
 
     match best {
         Some((partition, cost, salvage, lengths)) => {
-            let outcome = match agg.interrupt {
-                None => {
-                    if agg.panicked_probes > 0 || agg.oracle_faults > 0 {
-                        RunOutcome::Degraded
-                    } else {
-                        RunOutcome::Complete
-                    }
-                }
-                Some(Interrupt::Cancelled) => RunOutcome::Cancelled,
-                Some(_) => RunOutcome::Degraded,
-            };
+            let faulted = agg.panicked_probes > 0 || agg.oracle_faults > 0;
+            let outcome = RunOutcome::of_run(agg.interrupt, best_from_partial, faulted);
             let run = WarmRun {
                 partition,
                 cost,
@@ -554,6 +550,8 @@ impl EcoSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::random_delta_clustered;
+    use htp_netlist::gen::rent::{rent_circuit, RentParams};
     use htp_netlist::{HypergraphBuilder, NodeId};
 
     fn chain(n: usize) -> Hypergraph {
@@ -647,6 +645,55 @@ mod tests {
         // Every round is probed with exactly one of the two frontiers.
         assert_eq!(agg.dial_rounds + agg.heap_rounds, agg.rounds);
         assert!(agg.rounds > 0);
+    }
+
+    #[test]
+    fn interrupted_warm_runs_name_where_the_best_partition_came_from() {
+        // Round 1 re-converges in the budget's only round; round 2 is
+        // stopped before its first and salvages from the carried metric.
+        // The outcome must say which of them produced the winner, as the
+        // cold partitioner's does: seed 0's winner is salvage work from
+        // round 2, seed 1's comes from the clean round 1.
+        for (seed, expected) in [(0, RunOutcome::Degraded), (1, RunOutcome::DeadlineExceeded)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let h = rent_circuit(
+                RentParams {
+                    nodes: 600,
+                    primary_inputs: 600 / 16,
+                    locality: 0.8,
+                    ..RentParams::default()
+                },
+                &mut rng,
+            );
+            let spec = TreeSpec::full_tree(h.total_size(), 3, 2, 1.15, 1.0).unwrap();
+            let s = EcoSession::bootstrap(h, spec, quick_params(), seed).unwrap();
+            let delta = random_delta_clustered(s.hypergraph(), 0.02, &mut rng);
+            let applied = delta.apply(s.hypergraph()).unwrap();
+            let (run, rounds) = warm_partition_rounds(
+                &applied.hypergraph,
+                s.spec(),
+                &quick_params(),
+                &WarmPolicy::default(),
+                s.partition(),
+                s.lengths(),
+                &applied.report,
+                &mut StdRng::seed_from_u64(seed + 100),
+                &Budget::unlimited().with_max_rounds(1),
+            )
+            .unwrap();
+            assert!(run.warm, "seed {seed}");
+            assert_eq!(rounds.len(), 2, "seed {seed}");
+            assert!(
+                rounds[0].interrupt.is_none() && rounds[0].converged,
+                "seed {seed}"
+            );
+            assert_eq!(
+                rounds[1].interrupt,
+                Some(Interrupt::RoundLimit),
+                "seed {seed}"
+            );
+            assert_eq!(run.outcome, expected, "seed {seed}");
+        }
     }
 
     #[test]

@@ -148,11 +148,6 @@ impl Graph {
         (0..self.edges.len() as u32).map(EdgeId)
     }
 
-    /// Sum of all edge weights.
-    pub fn total_weight(&self) -> f64 {
-        self.weights.iter().sum()
-    }
-
     /// The other endpoint of `e` as seen from `v`.
     ///
     /// # Panics
@@ -192,7 +187,6 @@ mod tests {
         let mut g = Graph::from_edges(2, &[(0, 1, 1.0)]);
         g.set_weight(EdgeId(0), 9.5);
         assert_eq!(g.weight(EdgeId(0)), 9.5);
-        assert_eq!(g.total_weight(), 9.5);
     }
 
     #[test]

@@ -1,18 +1,15 @@
 //! Graph-algorithm substrate for hierarchical tree partitioning.
 //!
-//! The paper's algorithms need a toolbox of classical graph machinery:
-//! Dijkstra's shortest paths (Algorithm 2 grows shortest-path trees), Prim's
-//! minimum spanning tree (procedure `find_cut` grows blocks Prim-style),
-//! and max-flow/min-cut (the network-flow duality underlying the whole
-//! approach, and the exact comparator used in tests). This crate provides
-//! all of it over a compact CSR graph:
+//! The paper's kernels run on `htp-core`'s CSR hypergraph; this crate
+//! holds the pieces they share, plus the max-flow that the V-cycle's
+//! flow refinement solves and the plain-graph Dijkstra that tests use as
+//! a reference:
 //!
 //! * [`Graph`] — undirected weighted graph with stable edge ids and mutable
-//!   edge weights (spreading metrics re-price edges in place).
-//! * [`dijkstra`], [`prim`], [`traversal`] — shortest paths, MST, BFS/DFS.
-//! * [`maxflow`] (Dinic), [`mincut`] (s-t cut + Stoer–Wagner global cut),
-//!   and [`karger`] (randomized contraction, the paper's reference \[7\]).
-//! * [`expand`] — clique and star expansions of netlist hypergraphs.
+//!   edge weights; [`dijkstra`] computes shortest paths on it.
+//! * [`maxflow`] (Dinic) — the min-cut behind the flow/cut duality.
+//! * [`frontier`] — the dial queue and the per-round dial/heap choice
+//!   the shortest-path kernels use.
 //! * [`UnionFind`], [`IndexedMinHeap`] — supporting data structures.
 //!
 //! # Examples
@@ -29,16 +26,11 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod dijkstra;
-pub mod expand;
 pub mod frontier;
 pub mod graph;
 pub mod heap;
-pub mod karger;
 pub mod maxflow;
-pub mod mincut;
-pub mod prim;
 pub mod random;
-pub mod traversal;
 pub mod unionfind;
 
 pub use frontier::{dial_plan, dial_plan_forced, DialQueue, Frontier};

@@ -1,8 +1,8 @@
 //! Dinic's maximum-flow algorithm on a directed flow network.
 //!
 //! The max-flow min-cut duality is the theoretical root of the paper's whole
-//! approach, and exact min-cuts serve as oracles when testing the heuristic
-//! components.
+//! approach; the V-cycle's flow refinement in `htp-cluster` solves its
+//! boundary gadgets with this solver.
 
 /// Floating-point slack for residual-capacity comparisons.
 const EPS: f64 = 1e-12;

@@ -33,43 +33,9 @@ pub fn gnp_graph<R: Rng + ?Sized>(
     Graph::from_edges(n, &edges)
 }
 
-/// A connected graph: a random spanning tree plus `extra_edges` random
-/// chords, all with weights from `weight_range`.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or the weight range is empty/negative.
-pub fn connected_graph<R: Rng + ?Sized>(
-    n: usize,
-    extra_edges: usize,
-    weight_range: Range<f64>,
-    rng: &mut R,
-) -> Graph {
-    assert!(n >= 1, "need at least one node");
-    assert!(
-        weight_range.start >= 0.0 && weight_range.start < weight_range.end,
-        "weight range must be non-empty and non-negative"
-    );
-    let mut edges = Vec::new();
-    // Random attachment tree: node v attaches to a uniform earlier node.
-    for v in 1..n {
-        let u = rng.random_range(0..v);
-        edges.push((u, v, rng.random_range(weight_range.clone())));
-    }
-    for _ in 0..extra_edges {
-        let u = rng.random_range(0..n);
-        let v = rng.random_range(0..n);
-        if u != v {
-            edges.push((u.min(v), u.max(v), rng.random_range(weight_range.clone())));
-        }
-    }
-    Graph::from_edges(n, &edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::is_connected;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -81,19 +47,9 @@ mod tests {
     }
 
     #[test]
-    fn connected_graph_is_connected() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for n in [1, 2, 7, 40] {
-            let g = connected_graph(n, n / 2, 1.0..3.0, &mut rng);
-            assert!(is_connected(&g), "n = {n}");
-            assert!(g.num_edges() >= n.saturating_sub(1));
-        }
-    }
-
-    #[test]
     fn weights_stay_in_range() {
         let mut rng = StdRng::seed_from_u64(2);
-        let g = connected_graph(30, 20, 2.0..4.0, &mut rng);
+        let g = gnp_graph(30, 0.3, 2.0..4.0, &mut rng);
         for e in g.edge_ids() {
             let w = g.weight(e);
             assert!((2.0..4.0).contains(&w));

@@ -32,9 +32,8 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use htp_cluster::pipeline::solve_budgeted;
 use htp_cluster::vcycle::{vcycle_partition_with_budget, VCycleParams};
-use htp_core::partitioner::{FlowPartitioner, PartitionerParams};
+use htp_core::partitioner::{solve_budgeted, FlowPartitioner, PartitionerParams};
 use htp_core::runtime::{Budget, CancelToken, RunOutcome};
 use htp_core::SpreadingMetric;
 use htp_eco::{warm_partition, TouchedReport, WarmPolicy};

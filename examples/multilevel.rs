@@ -4,15 +4,16 @@
 //! The paper's reference \[17\] (Yeh, Cheng & Lin) used stochastic flow
 //! injection for *clustering*; the paper itself uses the same engine for
 //! *partitioning*. This example combines them the way the field eventually
-//! did (hMETIS-style multilevel): cluster, contract, partition the coarse
-//! netlist, project back, refine — and compares cost and wall-clock against
-//! the flat partitioner.
+//! did (hMETIS-style multilevel): the V-cycle clusters and contracts level
+//! by level, partitions the coarsest netlist, then projects back and
+//! refines at every level — and compares cost and wall-clock against the
+//! flat partitioner.
 //!
 //! Run with `cargo run --release --example multilevel`.
 
 use std::time::Instant;
 
-use htp::cluster::pipeline::{clustered_flow_partition, ClusteredFlowParams};
+use htp::cluster::vcycle::{vcycle_partition, VCycleParams};
 use htp::core::partitioner::{FlowPartitioner, PartitionerParams};
 use htp::model::TreeSpec;
 use htp::netlist::gen::rent::{rent_circuit, RentParams};
@@ -38,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let flat_secs = start.elapsed().as_secs_f64();
 
     let start = Instant::now();
-    let multi = clustered_flow_partition(&h, &spec, ClusteredFlowParams::default(), &mut rng)?;
+    let multi = vcycle_partition(&h, &spec, VCycleParams::default(), &mut rng)?;
     let multi_secs = start.elapsed().as_secs_f64();
 
     println!(
@@ -46,13 +47,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         flat.cost
     );
     println!(
-        "multilevel FLOW  : cost {:>7.0}  in {multi_secs:.2}s \
-         ({} coarse nodes, projected {:.0}, refined {:.0})",
-        multi.cost, multi.coarse_nodes, multi.projected_cost, multi.cost
+        "V-cycle          : cost {:>7.0}  in {multi_secs:.2}s \
+         ({} levels, {} coarsest nodes, coarsest cost {:.0})",
+        multi.cost, multi.num_levels, multi.coarsest_nodes, multi.coarsest_cost
     );
     println!(
         "\ncoarsening kept {:.0}% of the nodes and {:.0}% of the runtime",
-        100.0 * multi.coarse_nodes as f64 / h.num_nodes() as f64,
+        100.0 * multi.coarsest_nodes as f64 / h.num_nodes() as f64,
         100.0 * multi_secs / flat_secs
     );
     Ok(())

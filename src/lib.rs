@@ -5,7 +5,8 @@
 //! re-exports the whole stack so applications can depend on one crate:
 //!
 //! * [`netlist`] — hypergraph netlists, I/O, synthetic circuit generators.
-//! * [`graph`] — graph algorithms (Dijkstra, Prim, Dinic, Stoer–Wagner).
+//! * [`graph`] — shared kernel pieces (frontiers, indexed heap, union–find),
+//!   Dinic max-flow, and a reference graph Dijkstra.
 //! * [`model`] — the HTP problem: tree specs, partitions, the cost
 //!   objective.
 //! * [`core`] — the paper's contribution: spreading metrics by stochastic
@@ -16,7 +17,7 @@
 //! * [`treepart`] — Vijayan's min-cost tree partitioning (reference \[16\]),
 //!   the fixed-tree sibling of HTP.
 //! * [`cluster`] — stochastic flow-injection clustering (reference \[17\])
-//!   and a cluster-coarsened FLOW pipeline.
+//!   and the multilevel V-cycle built on it.
 //! * [`verify`] — clean-room verification oracles: partition
 //!   certificates, spreading-metric audits, and adversarial instance
 //!   generators (shares no computation code with [`core`]).
