@@ -21,7 +21,9 @@
 //! * `--kernel` sweeps the probe kernel across `threads = 1, 2, 4, 8`,
 //!   asserting the metric is bit-identical at every setting and recording
 //!   per-thread efficiency plus kernel-choice telemetry (dial vs heap
-//!   rounds, batched re-pricing time) to `BENCH_9.json`.
+//!   rounds, batched re-pricing time) to `BENCH_9.json`. The file records
+//!   the machine's `available_parallelism`, and each rung above it says
+//!   `"scaling": false`: it checks determinism, not speed-up.
 //! * `--out PATH` changes the output path (default `BENCH_5.json`,
 //!   `BENCH_10.json` with `--multilevel`, or `BENCH_9.json` with
 //!   `--kernel`).
@@ -289,6 +291,10 @@ fn render_kernel(samples: &[KernelSample], quick: bool) -> String {
     let _ = writeln!(out, "  \"schema_version\": 1,");
     let _ = writeln!(out, "  \"quick\": {quick},");
     let _ = writeln!(out, "  \"peak_rss_bytes\": {},", peak_rss_bytes());
+    // Rungs with more threads than cores time the same work on shared
+    // cores: they check determinism, not scaling.
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let _ = writeln!(out, "  \"available_parallelism\": {cores},");
     out.push_str("  \"instances\": [\n");
     for (i, s) in samples.iter().enumerate() {
         out.push_str("    {\n");
@@ -322,6 +328,7 @@ fn render_kernel(samples: &[KernelSample], quick: bool) -> String {
             };
             out.push_str("        {\n");
             let _ = writeln!(out, "          \"threads\": {},", c.threads);
+            let _ = writeln!(out, "          \"scaling\": {},", c.threads <= cores);
             let _ = writeln!(
                 out,
                 "          \"metric_seconds\": {:.6},",

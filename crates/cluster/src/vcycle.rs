@@ -901,7 +901,7 @@ mod tests {
         let cap = ((spec.capacity(0) as f64 * 0.125).floor() as u64).max(1);
         let profile = flow_congestion(&h, CongestionParams::default(), &mut rng);
         let clustering = agglomerate_ordered(&h, &net_order(&h, &profile), &[], cap);
-        let coarse = h.contract(&clustering.cluster_of);
+        let (coarse, _) = contract_with(&h, &clustering.cluster_of, &mut ContractScratch::new());
         let coarse_partition = FlowPartitioner::try_new(PartitionerParams::default())
             .unwrap()
             .run(&coarse, &spec, &mut rng)

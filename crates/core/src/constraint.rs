@@ -219,6 +219,27 @@ fn max_bound_slope(spec: &TreeSpec, total: u64) -> f64 {
         .sum::<f64>()
 }
 
+/// The clear exit every prefix scan in this module shares. After a
+/// satisfied prefix of size `k`, with `S_p` more settled size not yet
+/// scanned (always 0 in distance order) and `D` the last settle distance,
+/// no later prefix can violate once `lhs + tolerance >= max(g(k + S_p),
+/// g(s(V)) − D·(s(V) − k − S_p))`. The caller passes `lhs + tolerance` as
+/// `lhs_tol`, `g(k + S_p)` as `g_covered` and `s(V) − k − S_p` as
+/// `uncovered`.
+///
+/// Settle distances never decrease, so a later prefix of size
+/// `x >= k + S_p` holds at most `S_p` of pending size (distance `>= 0`)
+/// and the rest at distance `>= D`: `lhs_x >= lhs + D·(x − k − S_p)`.
+/// `g` is convex (`TreeSpec` rejects negative weights), so `g(x) − D·x`
+/// peaks at an end of `[k + S_p, s(V)]`, and the rule's two terms are
+/// those ends. Smaller later prefixes are covered by the first term, as
+/// `g` is non-decreasing. The rule holds whenever
+/// `lhs + tolerance >= g(s(V))`, and in distance order whenever `D`
+/// reaches the largest slope of `g`.
+fn clear_exit(lhs_tol: f64, g_covered: f64, g_total: f64, d: f64, uncovered: u64) -> bool {
+    lhs_tol >= g_covered.max(g_total - d * uncovered as f64)
+}
+
 /// Grows shortest-path trees from `source` over the flat CSR view (whose
 /// length slab holds the metric) and reports the first prefix whose
 /// spreading constraint is violated by more than `tolerance` (absolute),
@@ -233,19 +254,14 @@ fn max_bound_slope(spec: &TreeSpec, total: u64) -> f64 {
 /// only difference between the two paths, and the frontier contract makes
 /// that difference unobservable.
 ///
-/// The grow loop exits early once *no* future prefix can violate, by two
-/// sound bounds (each prefix's `lhs` only grows as the tree grows, while
-/// `g` is fixed and convex):
-///
-/// * once `lhs + tolerance >= g(s(V))`, no bound `g(x) <= g(s(V))` can
-///   ever exceed a future `lhs`;
-/// * once the settled distance reaches the largest slope of `g` while the
-///   current prefix is satisfied, every future prefix gains `lhs` at least
-///   as fast as `g` can grow (`lhs_x − lhs_k >= d_k·(x−k) >=
-///   max_slope·(x−k) >= g(x) − g(k)`, using Dijkstra's non-decreasing
-///   settle distances and convexity of `g`).
-///
-/// Both exits report no violation exactly when the full grow would have.
+/// A clear probe stops early once *no* later prefix can violate: after a
+/// satisfied prefix of size `k` settled at distance `D`, once
+/// `lhs + tolerance >= g(s(V)) − D·(s(V) − k)`. Every later node adds at
+/// least `D` per unit of size to `lhs`, and `g(x) − D·x` is convex, so
+/// it peaks at `k` (the prefix just checked) or at `s(V)` (the rule).
+/// This is the module's shared clear exit with nothing pending. It holds
+/// whenever `lhs + tolerance >= g(s(V))` or `D` reaches the largest slope
+/// of `g`, and it ends only probes the full grow reports clear.
 ///
 /// # Panics
 ///
@@ -289,12 +305,13 @@ pub fn probe_source_csr(
 ///
 /// * *slope exit*, after a settle: `D >= max_slope` and
 ///   `lhs + tolerance − g(k) >= max_slope · S_near`, where `S_near` is the
-///   size of the pending nodes closer than `max_slope` — the distance-order
-///   exit of [`probe_source_csr`], charged for the near nodes not yet
-///   scanned;
+///   size of the pending nodes closer than `max_slope`: every other later
+///   node adds at least the largest slope of `g`, and the near ones are
+///   charged up front;
 /// * *convex exit*, after a settle: `lhs + tolerance >= max(g(k + S_p),
 ///   g(s(V)) − D·(s(V) − k − S_p))`, the two ends of the range where the
-///   worst later prefix of a convex `g` must sit;
+///   worst later prefix of a convex `g` must sit — the clear exit every
+///   prefix scan in this module shares;
 /// * after each scanned prefix: `lhs + tolerance >= g(s(V))`.
 ///
 /// An exit only ends a probe the full grow would have reported clear, so
@@ -333,8 +350,8 @@ fn probe_csr_inner<F: Frontier>(
     buf: &mut ProbeBuffers,
     frontier: &mut F,
 ) -> ProbeReport {
-    let g_total = gfn::spreading_bound(spec, csr.total_size());
-    let max_slope = max_bound_slope(spec, csr.total_size());
+    let total = csr.total_size();
+    let g_total = gfn::spreading_bound(spec, total);
     let ProbeBuffers {
         grower,
         index_of,
@@ -385,8 +402,8 @@ fn probe_csr_inner<F: Frontier>(
         if bound > 0.0 {
             min_rel_slack = min_rel_slack.min((lhs - bound) / bound);
         }
-        // Early exits: every remaining prefix is provably satisfied.
-        if lhs + tolerance >= g_total || step.dist >= max_slope {
+        // Early exit: every remaining prefix is provably satisfied.
+        if clear_exit(lhs + tolerance, bound, g_total, step.dist, total - size) {
             break;
         }
     }
@@ -539,9 +556,13 @@ fn probe_weighted_inner<F: Frontier>(
         let with_pending = size + pending_size;
         let slope_exit = d >= max_slope
             && lhs + tolerance - gfn::spreading_bound(spec, size) >= max_slope * near_size as f64;
-        let convex_exit = lhs + tolerance
-            >= gfn::spreading_bound(spec, with_pending)
-                .max(g_total - d * (total - with_pending) as f64);
+        let convex_exit = clear_exit(
+            lhs + tolerance,
+            gfn::spreading_bound(spec, with_pending),
+            g_total,
+            d,
+            total - with_pending,
+        );
         if slope_exit || convex_exit {
             break;
         }
@@ -598,9 +619,9 @@ pub fn check_feasibility(
 
 /// Largest `g − lhs` over all prefixes from `v`, or `None` if none positive.
 ///
-/// Uses the same sound early exits as [`probe_source_csr`] (with zero
-/// tolerance): once no future prefix can have a positive shortfall, the
-/// remaining grow cannot change the maximum.
+/// Uses the clear exit of [`probe_source_csr`] with zero tolerance: once
+/// no future prefix can have a positive shortfall, the remaining grow
+/// cannot change the maximum.
 fn find_worst_shortfall(
     csr: &CsrHypergraph,
     spec: &TreeSpec,
@@ -608,8 +629,8 @@ fn find_worst_shortfall(
     grower: &mut CsrGrowerScratch,
     heap: &mut IndexedMinHeap,
 ) -> Option<f64> {
-    let g_total = gfn::spreading_bound(spec, csr.total_size());
-    let max_slope = max_bound_slope(spec, csr.total_size());
+    let total = csr.total_size();
+    let g_total = gfn::spreading_bound(spec, total);
     let mut size = 0u64;
     let mut lhs = 0.0;
     let mut worst: Option<f64> = None;
@@ -617,11 +638,12 @@ fn find_worst_shortfall(
     while let Some(step) = grower.step(csr, heap) {
         size += csr.node_size(step.node.0);
         lhs += step.dist * csr.node_size(step.node.0) as f64;
-        let shortfall = gfn::spreading_bound(spec, size) - lhs;
+        let bound = gfn::spreading_bound(spec, size);
+        let shortfall = bound - lhs;
         if shortfall > 0.0 && worst.is_none_or(|w| shortfall > w) {
             worst = Some(shortfall);
         }
-        if lhs >= g_total || (shortfall <= 0.0 && step.dist >= max_slope) {
+        if clear_exit(lhs, bound, g_total, step.dist, total - size) {
             break;
         }
     }

@@ -18,11 +18,12 @@
 //! per active node — while the injections themselves are cheap vector
 //! updates. The engine therefore snapshots the metric at the start of each
 //! round, fans the shuffled working set out across a scoped worker pool
-//! ([`FlowParams::threads`]) that runs the read-only probes concurrently,
-//! and then *commits* the resulting candidate trees sequentially, in the
-//! round's shuffled order. Commits after the first one see a metric the
-//! probes did not; each such candidate is re-validated against the updated
-//! metric via [`ViolatingTree::still_violated`], which re-prices the tree
+//! ([`FlowParams::threads`]) whose workers claim one probe at a time and
+//! run the read-only probes concurrently, and then *commits* the resulting
+//! candidate trees sequentially, in the round's shuffled order. Commits
+//! after the first one see a metric the probes did not; each such
+//! candidate is re-validated against the updated metric via
+//! [`ViolatingTree::still_violated`], which re-prices the tree
 //! along its recorded paths — an upper bound on the true `lhs`, so a
 //! candidate that still falls short of its bound is certifiably still
 //! violated and safe to inject on. Candidates that fail re-validation are
@@ -665,9 +666,9 @@ fn run_injection<R: Rng + ?Sized>(
         }
 
         // Probe phase: every due node against the round-start snapshot.
-        // `candidates[i]` is the probe result for `due[i]`; workers get
-        // disjoint index ranges, so the outcome is independent of how many
-        // there are.
+        // `candidates[i]` is the probe result for `due[i]`, whichever
+        // worker claimed it, so the outcome is independent of how many
+        // workers there are.
         let probe_start = Instant::now();
         if let Some((width, buckets)) = dial_geom {
             for scratch in &mut scratches {

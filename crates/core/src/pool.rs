@@ -11,10 +11,17 @@
 //! so results are bit-identical at any worker count.
 //!
 //! This module centralizes the two pieces both sites need: resolving a
-//! `threads` parameter (`0` = all available parallelism) and the chunked
+//! `threads` parameter (`0` = all available parallelism) and the
 //! `std::thread::scope` fan-out itself. The fan-out exists once, in
 //! [`parallel_fill_with`], which hands each worker its own reusable
-//! scratch; [`parallel_fill`] is the scratch-free form.
+//! scratch; [`parallel_fill`] is the scratch-free form. Workers claim
+//! slots one at a time from a shared counter, because slot costs are
+//! heavy-tailed (a clear probe settles hundreds of nodes where a violated
+//! one stops after about a hundred, and refinement cascades vary as
+//! much): a slow slot holds up only its own worker.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Resolves a thread-count parameter: `0` means all available
 /// parallelism (falling back to 1 if it cannot be determined), any other
@@ -31,9 +38,9 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// Computes `f(0), f(1), …, f(n-1)` on a scoped worker pool and returns
 /// the results in index order.
 ///
-/// Slot `i` always holds `f(i)`: workers own disjoint contiguous chunks,
-/// so the returned vector is identical at every `threads` setting —
-/// including `1`, which runs inline with no pool at all. `threads`
+/// Slot `i` always holds `f(i)`, whichever worker claimed it, so the
+/// returned vector is identical at every `threads` setting — including
+/// `1`, which runs inline with no pool at all. `threads`
 /// follows the [`resolve_threads`] convention. `f` must be safe to call
 /// concurrently from multiple threads (it only gets `&self` access to
 /// captured state); a panic inside `f` propagates to the caller.
@@ -47,19 +54,20 @@ where
 }
 
 /// [`parallel_fill`] with per-worker scratch: worker `w` calls
-/// `f(i, &mut scratches[w])` for every slot `i` of its chunk, so reusable
+/// `f(i, &mut scratches[w])` for every slot `i` it claims, so reusable
 /// buffers are allocated once per caller instead of once per item.
 ///
+/// Each worker claims the next unclaimed slot whenever it finishes one.
 /// The pool uses at most `scratches.len()` workers; slot `i` still always
 /// holds `f(i, _)`, so the result is identical at every `threads`
 /// setting provided `f`'s value does not depend on what an earlier call
-/// left in the scratch. The inline path (one worker) uses
-/// `scratches[0]`.
+/// left in the scratch. Which worker runs which slot depends on timing.
+/// The inline path (one worker) uses `scratches[0]` in slot order.
 ///
 /// # Panics
 ///
 /// Panics if `n > 0` and `scratches` is empty; a panic inside `f`
-/// propagates to the caller.
+/// reaches the caller with its original payload.
 pub fn parallel_fill_with<T, S, F>(n: usize, threads: usize, scratches: &mut [S], f: F) -> Vec<T>
 where
     T: Send,
@@ -71,34 +79,56 @@ where
         "parallel_fill_with needs a scratch"
     );
     let workers = resolve_threads(threads).min(n).min(scratches.len());
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     if workers <= 1 {
-        if let Some(scratch) = scratches.first_mut() {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = Some(f(i, scratch));
+        return match scratches.first_mut() {
+            Some(scratch) => (0..n).map(|i| f(i, scratch)).collect(),
+            None => Vec::new(),
+        };
+    }
+    // `Relaxed` is enough: the counter only hands out indices, and a
+    // read-modify-write never returns one value twice under any ordering.
+    // A slot's lock keeps its result in place, with no second buffer; only
+    // the worker that claimed the slot takes it, so it never waits, and the
+    // join below orders every write before the results are read.
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = scratches[..workers]
+            .iter_mut()
+            .map(|scratch| {
+                let (f, next, slots) = (&f, &next, &slots);
+                s.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(slot) = slots.get(i) else { break };
+                    let value = f(i, scratch);
+                    *slot.lock().expect(UNPOISONED) = Some(value);
+                })
+            })
+            .collect();
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
             }
         }
-    } else {
-        let chunk = n.div_ceil(workers);
-        std::thread::scope(|s| {
-            for ((ci, slots), scratch) in out.chunks_mut(chunk).enumerate().zip(scratches) {
-                let f = &f;
-                s.spawn(move || {
-                    let base = ci * chunk;
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(f(base + j, scratch));
-                    }
-                });
-            }
-        });
-    }
-    out.into_iter()
-        .map(|s| s.expect("every slot is filled by exactly one worker"))
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect(UNPOISONED)
+                .expect("every slot is claimed by exactly one worker")
+        })
         .collect()
 }
 
+/// No slot lock is held while `f` runs, so a panic never poisons one.
+const UNPOISONED: &str = "a slot lock is never held across a panic";
+
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
     use super::*;
 
     #[test]
@@ -140,6 +170,38 @@ mod tests {
             parallel_fill_with(0, 4, &mut none, |i, _| i),
             Vec::<usize>::new()
         );
+    }
+
+    #[test]
+    fn a_slow_slot_does_not_hold_up_the_slots_after_it() {
+        // Slot 0 returns only once every other slot has finished. A worker
+        // that owned a contiguous chunk would also own slots 1..n/2 and
+        // could not run them before slot 0 returned, so slot 0 would time
+        // out; a worker that claims slots leaves them to the other worker.
+        let n = 8;
+        let (tx, rx) = mpsc::channel();
+        let rx = Mutex::new(rx);
+        let finished = AtomicUsize::new(0);
+        let got = parallel_fill(n, 2, |i| {
+            if i == 0 {
+                let rx = rx.lock().expect("only slot 0 locks the receiver");
+                return rx.recv_timeout(Duration::from_secs(60)).is_ok();
+            }
+            if finished.fetch_add(1, Ordering::SeqCst) + 1 == n - 1 {
+                tx.send(()).expect("the receiver outlives the fill");
+            }
+            true
+        });
+        assert_eq!(got, vec![true; n], "slot 0 saw every other slot finish");
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 5 failed")]
+    fn a_panicking_slot_reaches_the_caller() {
+        let _ = parallel_fill(16, 2, |i| {
+            assert_ne!(i, 5, "slot 5 failed");
+            i
+        });
     }
 
     #[test]

@@ -21,10 +21,12 @@
 //!    4, and 8 probe threads crossed with forced-heap and forced-dial
 //!    frontiers, including the mixed-size (weighted-order) star family.
 //!
-//! The weighted-order probe scans prefixes while its tree grows and stops
-//! clear probes early, so it is also pinned against a reference that grows
-//! the full tree, sorts it by weighted distance and scans that: violations
-//! (and their `min_rel_slack`) must be Debug-equal, clear reports clear.
+//! Both probes stop clear probes early, and the weighted-order probe
+//! scans its prefixes while the tree grows, so each is also pinned against
+//! a reference that grows the full tree and scans every prefix in its
+//! order: violations (and their `min_rel_slack`) must be Debug-equal,
+//! clear reports clear. `check_feasibility`, which shares the
+//! distance-order exit, is pinned against a full scan of every prefix.
 //!
 //! `f64` equality throughout is exact (`==` / `assert_eq!` on the raw
 //! values, debug-formatted reports for the nested structs) — "close
@@ -33,7 +35,8 @@
 //! in a different order.
 
 use htp_core::constraint::{
-    probe_source_csr, probe_source_weighted_csr, CsrProbeScratch, ProbeReport, ViolatingTree,
+    check_feasibility, probe_source_csr, probe_source_weighted_csr, CsrProbeScratch, ProbeReport,
+    ViolatingTree,
 };
 use htp_core::injector::{compute_spreading_metric, FlowParams, FrontierMode};
 use htp_core::partitioner::{FlowPartitioner, PartitionerParams};
@@ -166,6 +169,12 @@ fn audit_report(
     Ok(())
 }
 
+/// A probe entry point of `htp_core::constraint`.
+type Probe = fn(&CsrHypergraph, &TreeSpec, NodeId, f64, &mut CsrProbeScratch, bool) -> ProbeReport;
+
+/// A full-grow reference for a [`Probe`].
+type FullGrow = fn(&CsrHypergraph, &TreeSpec, NodeId, f64) -> ProbeReport;
+
 /// Probes every source in both prefix orders with both frontiers: the
 /// heap and dial reports must be Debug-equal (Debug formatting
 /// round-trips every distinct `f64` to a distinct string, so this is
@@ -177,8 +186,6 @@ fn probe_all_sources(
     lengths: &[f64],
     tolerance: f64,
 ) -> Result<(), String> {
-    type Probe =
-        fn(&CsrHypergraph, &TreeSpec, NodeId, f64, &mut CsrProbeScratch, bool) -> ProbeReport;
     let orders: [(&str, Probe); 2] = [
         ("distance", probe_source_csr),
         ("weighted", probe_source_weighted_csr),
@@ -212,6 +219,102 @@ fn probe_reports_agree_on_every_conformance_family() {
     }
 }
 
+/// Every node reachable from `source`, in settle order (heap frontier),
+/// with each node's settle index.
+fn full_grow(csr: &CsrHypergraph, source: NodeId) -> (Vec<TreeStep>, Vec<usize>) {
+    let mut grower = CsrGrowerScratch::new(csr);
+    let mut heap = IndexedMinHeap::new(csr.num_nodes());
+    grower.start(csr, &mut heap, source.0);
+    let steps: Vec<TreeStep> = std::iter::from_fn(|| grower.step(csr, &mut heap)).collect();
+    let mut index_of = vec![usize::MAX; csr.num_nodes()];
+    for (i, s) in steps.iter().enumerate() {
+        index_of[s.node.index()] = i;
+    }
+    (steps, index_of)
+}
+
+/// Subtree weights `W(e)` of `nets`: `weight[i]` starts as the member size
+/// of `steps[i]` (0 for connectors and unscanned nodes) and accumulates
+/// bottom-up, in reverse settle order, onto the net each node was reached
+/// through.
+fn reference_net_weights(
+    csr: &CsrHypergraph,
+    steps: &[TreeStep],
+    index_of: &[usize],
+    mut weight: Vec<f64>,
+    nets: &[NetId],
+) -> Vec<f64> {
+    let mut per_net = vec![0.0f64; csr.num_nets()];
+    for i in (1..steps.len()).rev() {
+        if weight[i] == 0.0 {
+            continue;
+        }
+        if let (Some(e), Some(p)) = (steps[i].via_net, steps[i].parent) {
+            per_net[e.index()] += weight[i];
+            weight[index_of[p.index()]] += weight[i];
+        }
+    }
+    nets.iter().map(|e| per_net[e.index()]).collect()
+}
+
+/// The distance-order probe as a full grow: settle every reachable node,
+/// then scan the prefixes in settle order and stop only at a violation or
+/// at the end. This is the reference the probe, with its clear exit, must
+/// reproduce.
+fn full_grow_distance_probe(
+    csr: &CsrHypergraph,
+    spec: &TreeSpec,
+    source: NodeId,
+    tolerance: f64,
+) -> ProbeReport {
+    let (steps, index_of) = full_grow(csr, source);
+    let mut net_in_tree = vec![false; csr.num_nets()];
+    let mut nets: Vec<NetId> = Vec::new();
+    let mut size = 0u64;
+    let mut lhs = 0.0;
+    let mut min_rel_slack = f64::INFINITY;
+    for (k, step) in steps.iter().enumerate() {
+        let s = csr.node_size(step.node.0);
+        size += s;
+        lhs += step.dist * s as f64;
+        if let Some(e) = step.via_net {
+            if !net_in_tree[e.index()] {
+                nets.push(e);
+                net_in_tree[e.index()] = true;
+            }
+        }
+        let bound = gfn::spreading_bound(spec, size);
+        if lhs + tolerance < bound {
+            let prefix = &steps[..=k];
+            let weight = prefix
+                .iter()
+                .map(|p| csr.node_size(p.node.0) as f64)
+                .collect();
+            let net_weights = reference_net_weights(csr, prefix, &index_of, weight, &nets);
+            let tree = ViolatingTree {
+                source,
+                nodes: prefix.iter().map(|p| p.node).collect(),
+                nets,
+                net_weights,
+                size,
+                lhs,
+                bound,
+            };
+            return ProbeReport {
+                violation: Some(tree),
+                min_rel_slack,
+            };
+        }
+        if bound > 0.0 {
+            min_rel_slack = min_rel_slack.min((lhs - bound) / bound);
+        }
+    }
+    ProbeReport {
+        violation: None,
+        min_rel_slack,
+    }
+}
+
 /// The weighted-order probe as a full grow: settle every reachable node,
 /// stable-sort by `(dist + 1)·s(u)` (ties keep settle order), then scan
 /// prefixes with the source first, relaying subtree weight through
@@ -224,14 +327,7 @@ fn full_grow_weighted_probe(
     source: NodeId,
     tolerance: f64,
 ) -> ProbeReport {
-    let mut grower = CsrGrowerScratch::new(csr);
-    let mut heap = IndexedMinHeap::new(csr.num_nodes());
-    grower.start(csr, &mut heap, source.0);
-    let steps: Vec<TreeStep> = std::iter::from_fn(|| grower.step(csr, &mut heap)).collect();
-    let mut index_of = vec![usize::MAX; csr.num_nodes()];
-    for (i, s) in steps.iter().enumerate() {
-        index_of[s.node.index()] = i;
-    }
+    let (steps, index_of) = full_grow(csr, source);
     let size_of = |i: usize| csr.node_size(steps[i].node.0);
     let key = |i: usize| (steps[i].dist + 1.0) * size_of(i) as f64;
     let mut order: Vec<usize> = (1..steps.len()).collect();
@@ -252,19 +348,7 @@ fn full_grow_weighted_probe(
     let mut scanned = order.iter();
     loop {
         if lhs + tolerance < bound {
-            // Subtree weights, bottom-up in reverse settle order.
-            let mut weight = member_weight.clone();
-            let mut per_net = vec![0.0f64; csr.num_nets()];
-            for i in (1..steps.len()).rev() {
-                if weight[i] == 0.0 {
-                    continue;
-                }
-                if let (Some(e), Some(p)) = (steps[i].via_net, steps[i].parent) {
-                    per_net[e.index()] += weight[i];
-                    weight[index_of[p.index()]] += weight[i];
-                }
-            }
-            let net_weights = nets.iter().map(|e| per_net[e.index()]).collect();
+            let net_weights = reference_net_weights(csr, &steps, &index_of, member_weight, &nets);
             let tree = ViolatingTree {
                 source,
                 nodes,
@@ -312,15 +396,16 @@ fn full_grow_weighted_probe(
     }
 }
 
-/// Probes every source with the incremental weighted probe under both
-/// frontiers, one scratch reused throughout so each probe starts from the
-/// leftovers of an early exit, and compares each report with
-/// [`full_grow_weighted_probe`]. Returns how many sources violate.
-fn weighted_probe_matches_full_grow(
+/// Probes every source with `probe` under both frontiers, one scratch
+/// reused throughout so each probe starts from the leftovers of an early
+/// exit, and compares each report with the `full_grow` reference. Returns
+/// how many sources violate.
+fn probe_matches_full_grow(
     h: &Hypergraph,
     spec: &TreeSpec,
     lengths: &[f64],
     tolerance: f64,
+    (probe, full_grow): (Probe, FullGrow),
 ) -> Result<usize, String> {
     let csr = CsrHypergraph::with_lengths(h, lengths);
     let mut scratch = CsrProbeScratch::new(&csr);
@@ -328,9 +413,9 @@ fn weighted_probe_matches_full_grow(
     scratch.plan_dial(width, buckets);
     let mut violated = 0;
     for v in h.nodes() {
-        let want = full_grow_weighted_probe(&csr, spec, v, tolerance);
+        let want = full_grow(&csr, spec, v, tolerance);
         for use_dial in [false, true] {
-            let got = probe_source_weighted_csr(&csr, spec, v, tolerance, &mut scratch, use_dial);
+            let got = probe(&csr, spec, v, tolerance, &mut scratch, use_dial);
             match (&got.violation, &want.violation) {
                 (Some(g), Some(w)) => {
                     if format!("{g:?}") != format!("{w:?}") {
@@ -352,24 +437,83 @@ fn weighted_probe_matches_full_grow(
     Ok(violated)
 }
 
+const DISTANCE: (Probe, FullGrow) = (probe_source_csr, full_grow_distance_probe);
+const WEIGHTED: (Probe, FullGrow) = (probe_source_weighted_csr, full_grow_weighted_probe);
+
+/// `check_feasibility`'s worst shortfall and its source as a full scan:
+/// every distance-order prefix of every source's full grow, no early exit.
+fn full_scan_worst_shortfall(csr: &CsrHypergraph, spec: &TreeSpec) -> (f64, Option<NodeId>) {
+    let mut worst = (0.0, None);
+    for v in (0..csr.num_nodes()).map(NodeId::new) {
+        let (steps, _) = full_grow(csr, v);
+        let (mut size, mut lhs) = (0u64, 0.0);
+        let mut source_worst: Option<f64> = None;
+        for step in &steps {
+            size += csr.node_size(step.node.0);
+            lhs += step.dist * csr.node_size(step.node.0) as f64;
+            let shortfall = gfn::spreading_bound(spec, size) - lhs;
+            if shortfall > 0.0 && source_worst.is_none_or(|w| shortfall > w) {
+                source_worst = Some(shortfall);
+            }
+        }
+        if let Some(t) = source_worst.filter(|&t| t > worst.0) {
+            worst = (t, Some(v));
+        }
+    }
+    worst
+}
+
+/// Compares `check_feasibility` with [`full_scan_worst_shortfall`]: the
+/// worst shortfall bit for bit, and its source.
+fn feasibility_matches_full_scan(
+    h: &Hypergraph,
+    spec: &TreeSpec,
+    lengths: &[f64],
+) -> Result<(), String> {
+    let report = check_feasibility(
+        h,
+        spec,
+        &SpreadingMetric::from_lengths(lengths.to_vec()),
+        0.0,
+    );
+    let want = full_scan_worst_shortfall(&CsrHypergraph::with_lengths(h, lengths), spec);
+    if (report.worst_shortfall.to_bits(), report.worst_source) != (want.0.to_bits(), want.1) {
+        return Err(format!(
+            "worst shortfall {} at {:?} vs full scan {} at {:?}",
+            report.worst_shortfall, report.worst_source, want.0, want.1
+        ));
+    }
+    Ok(())
+}
+
 #[test]
-fn weighted_probe_matches_the_full_grow_on_every_conformance_family() {
+fn distance_probe_matches_the_full_grow_on_every_conformance_family() {
     for inst in all_families(SEED) {
         let h = &inst.hypergraph;
         let lengths = synthetic_lengths(h.num_nets());
-        if let Err(e) = weighted_probe_matches_full_grow(h, &inst.spec, &lengths, 1e-9) {
+        if let Err(e) = probe_matches_full_grow(h, &inst.spec, &lengths, 1e-9, DISTANCE) {
+            panic!("{}: {e}", inst.family);
+        }
+        if let Err(e) = feasibility_matches_full_scan(h, &inst.spec, &lengths) {
             panic!("{}: {e}", inst.family);
         }
     }
 }
 
-/// A 2000-node Rent netlist with every 7th node of size 2 (the ECO
-/// benchmark's mixed sizes), probed from every source at the injector's
-/// initial `ε` lengths, at its converged lengths and at half of those:
-/// nearly every source violates (1965), none does, and some do (213).
 #[test]
-fn weighted_probe_matches_the_full_grow_on_a_mixed_size_rent_netlist() {
-    let rent = rent_circuit(
+fn weighted_probe_matches_the_full_grow_on_every_conformance_family() {
+    for inst in all_families(SEED) {
+        let h = &inst.hypergraph;
+        let lengths = synthetic_lengths(h.num_nets());
+        if let Err(e) = probe_matches_full_grow(h, &inst.spec, &lengths, 1e-9, WEIGHTED) {
+            panic!("{}: {e}", inst.family);
+        }
+    }
+}
+
+/// The 2000-node Rent netlist both rent tests below probe.
+fn rent_2000() -> Hypergraph {
+    rent_circuit(
         RentParams {
             nodes: 2000,
             primary_inputs: 125,
@@ -377,7 +521,73 @@ fn weighted_probe_matches_the_full_grow_on_a_mixed_size_rent_netlist() {
             ..RentParams::default()
         },
         &mut StdRng::seed_from_u64(SEED),
-    );
+    )
+}
+
+/// Probes every source of `h` with `probe` at the injector's initial `ε`
+/// lengths, at its converged lengths (two threads) and at half of those,
+/// checking each against its full grow: at least nine tenths of the
+/// sources must violate at `ε`, none at the converged lengths, and some
+/// at half of those. Solver seed 5 converges to a metric whose halving
+/// leaves many sources violated, so both probe outcomes stay in play.
+/// Returns the spec and the three length vectors.
+fn probe_matches_full_grow_at_three_lengths(
+    h: &Hypergraph,
+    probe: (Probe, FullGrow),
+) -> (TreeSpec, [Vec<f64>; 3]) {
+    let spec = TreeSpec::full_tree(h.total_size(), 4, 2, 1.1, 1.0).expect("spec is valid");
+    let params = FlowParams {
+        threads: 2,
+        ..FlowParams::default()
+    };
+    let (metric, stats) = compute_spreading_metric(h, &spec, params, &mut StdRng::seed_from_u64(5));
+    assert!(stats.converged);
+    let epsilon: Vec<f64> = h
+        .nets()
+        .map(|e| (params.alpha * params.epsilon / h.net_capacity(e)).exp() - 1.0)
+        .collect();
+    let converged = metric.lengths().to_vec();
+    let half: Vec<f64> = converged.iter().map(|d| d / 2.0).collect();
+    let lengths = [epsilon, converged, half];
+    let n = h.num_nodes();
+    for ((what, lengths), expect) in ["epsilon", "converged", "half"]
+        .into_iter()
+        .zip(&lengths)
+        .zip([n * 9 / 10..n + 1, 0..1, 1..n])
+    {
+        match probe_matches_full_grow(h, &spec, lengths, params.tolerance, probe) {
+            Ok(violated) => assert!(
+                expect.contains(&violated),
+                "{what}: {violated} of {n} sources violate, expected {expect:?}"
+            ),
+            Err(e) => panic!("{what} lengths: {e}"),
+        }
+    }
+    (spec, lengths)
+}
+
+/// The unit-size netlist, probed in distance order: nearly every source
+/// violates at `ε` (1965), none at the converged lengths, and a third at
+/// half of those (659). `check_feasibility` must match its full scan at
+/// all three.
+#[test]
+fn distance_probe_matches_the_full_grow_on_a_unit_size_rent_netlist() {
+    let h = rent_2000();
+    let (spec, lengths) = probe_matches_full_grow_at_three_lengths(&h, DISTANCE);
+    for lengths in &lengths {
+        if let Err(e) = feasibility_matches_full_scan(&h, &spec, lengths) {
+            panic!("{e}");
+        }
+    }
+}
+
+/// The same netlist with every 7th node of size 2 (the ECO benchmark's
+/// mixed sizes), probed in weighted order: nearly every source violates
+/// at `ε` (1965), none at the converged lengths, and some at half of those
+/// (213).
+#[test]
+fn weighted_probe_matches_the_full_grow_on_a_mixed_size_rent_netlist() {
+    let rent = rent_2000();
     let sizes: Vec<u64> = rent
         .nodes()
         .map(|v| if v.index() % 7 == 0 { 2 } else { 1 })
@@ -389,37 +599,7 @@ fn weighted_probe_matches_the_full_grow_on_a_mixed_size_rent_netlist() {
             (rent.net_capacity(e), pins)
         })
         .collect();
-    let h = build_lenient(&sizes, &nets);
-    let spec = TreeSpec::full_tree(h.total_size(), 4, 2, 1.1, 1.0).expect("spec is valid");
-    let params = FlowParams {
-        threads: 2,
-        ..FlowParams::default()
-    };
-    // Solver seed 5 converges to a metric whose halving leaves a tenth of
-    // the sources violated, so both probe outcomes stay in play.
-    let (metric, stats) =
-        compute_spreading_metric(&h, &spec, params, &mut StdRng::seed_from_u64(5));
-    assert!(stats.converged);
-    let epsilon: Vec<f64> = h
-        .nets()
-        .map(|e| (params.alpha * params.epsilon / h.net_capacity(e)).exp() - 1.0)
-        .collect();
-    let converged = metric.lengths().to_vec();
-    let half: Vec<f64> = converged.iter().map(|d| d / 2.0).collect();
-    let n = h.num_nodes();
-    for (what, lengths, expect) in [
-        ("epsilon", epsilon, n * 9 / 10..n + 1),
-        ("converged", converged, 0..1),
-        ("half", half, 1..n),
-    ] {
-        match weighted_probe_matches_full_grow(&h, &spec, &lengths, params.tolerance) {
-            Ok(violated) => assert!(
-                expect.contains(&violated),
-                "{what}: {violated} of {n} sources violate, expected {expect:?}"
-            ),
-            Err(e) => panic!("{what} lengths: {e}"),
-        }
-    }
+    probe_matches_full_grow_at_three_lengths(&build_lenient(&sizes, &nets), WEIGHTED);
 }
 
 /// FNV-1a, as in the conformance harness.
@@ -554,7 +734,31 @@ proptest! {
             .collect();
         let checked = probe_all_sources(&h, &zero_weight_spec(), &lengths, 1e-9);
         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
-        let pinned = weighted_probe_matches_full_grow(&h, &zero_weight_spec(), &lengths, 1e-9);
+        let pinned = probe_matches_full_grow(&h, &zero_weight_spec(), &lengths, 1e-9, WEIGHTED);
         prop_assert!(pinned.is_ok(), "{}", pinned.unwrap_err());
+    }
+
+    #[test]
+    fn random_unit_size_hypergraphs_probe_like_the_full_grow(
+        nodes in 2usize..24,
+        nets in proptest::collection::vec(
+            (0.1f64..4.0, proptest::collection::vec(0usize..24, 1..5)),
+            0..32,
+        ),
+        base in 0.0f64..2.0,
+        mult in 0.0f64..1.0,
+    ) {
+        let h = build_lenient(&vec![1; nodes], &nets);
+        let lengths: Vec<f64> = (0..h.num_nets())
+            .map(|e| base + ((e * 3) % 4) as f64 * mult)
+            .collect();
+        let full_tree =
+            TreeSpec::full_tree(h.total_size(), 2, 2, 1.1, 1.0).expect("spec is valid");
+        for spec in [zero_weight_spec(), full_tree] {
+            let pinned = probe_matches_full_grow(&h, &spec, &lengths, 1e-9, DISTANCE);
+            prop_assert!(pinned.is_ok(), "{}", pinned.unwrap_err());
+            let scanned = feasibility_matches_full_scan(&h, &spec, &lengths);
+            prop_assert!(scanned.is_ok(), "{}", scanned.unwrap_err());
+        }
     }
 }

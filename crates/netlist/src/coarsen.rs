@@ -1,23 +1,22 @@
 //! Scratch-reusing, allocation-light contraction for the multilevel down
 //! pass.
 //!
-//! [`Hypergraph::contract`] is correct but rebuilds every level through
-//! [`HypergraphBuilder`](crate::HypergraphBuilder): one `Vec<NodeId>` per
-//! coarse net, a `HashMap<Vec<NodeId>, f64>` that owns every key, and a
-//! full builder re-pack. At V-cycle scale (a million nodes, a dozen
-//! levels) that allocation churn dominates the down pass. This module
-//! contracts straight over the source CSR slabs into a fresh CSR, keeping
-//! every intermediate buffer in a caller-owned [`ContractScratch`] so
-//! repeated contractions (one per level) allocate almost nothing after the
-//! first.
+//! Contracting through [`HypergraphBuilder`](crate::HypergraphBuilder)
+//! is simple but costs one `Vec<NodeId>` per coarse net, a
+//! `HashMap<Vec<NodeId>, f64>` that owns every key, and a full builder
+//! re-pack. At V-cycle scale (a million nodes, a dozen levels) that
+//! allocation churn dominates the down pass. This module contracts
+//! straight over the source CSR slabs into a fresh CSR, keeping every
+//! intermediate buffer in a caller-owned [`ContractScratch`] so repeated
+//! contractions (one per level) allocate almost nothing after the first.
 //!
-//! The output is **bit-identical** to [`Hypergraph::contract`]: coarse
+//! The output is **bit-identical** to that builder contraction: coarse
 //! nets are the distinct coarse pin sets in lexicographic pin order,
 //! identical pin sets merge with capacities summed in ascending fine
 //! net-id order (so the floating-point sums associate identically), and
 //! nets left with fewer than two distinct coarse pins are dropped. The
-//! legacy method now delegates here; the equivalence is pinned by tests
-//! against a naive reimplementation of the old algorithm.
+//! equivalence is pinned by tests against a naive builder
+//! reimplementation.
 
 use std::collections::HashMap;
 
@@ -104,10 +103,14 @@ fn fnv1a_pins(pins: &[NodeId]) -> u64 {
     h
 }
 
-/// Contracts `h` by the dense fine→coarse map `cluster_of`, reusing
-/// `scratch` across calls. Returns the coarse hypergraph and the
-/// contraction counters. Output is bit-identical to
-/// [`Hypergraph::contract`] (which delegates here).
+/// Contracts node groups into coarse nodes, reusing `scratch` across
+/// calls: `cluster_of[v.index()]` names the coarse node of `v` (dense ids
+/// `0..k`). Coarse node sizes are group sums. Nets are re-pinned to coarse
+/// nodes; nets left with a single distinct pin disappear, and nets with
+/// identical coarse pin sets merge with summed capacities (the standard
+/// multilevel coarsening rule). Returns the coarse hypergraph and the
+/// contraction counters; `cluster_of` itself is the fine→coarse node
+/// mapping.
 ///
 /// # Panics
 ///
@@ -301,7 +304,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
-    /// The legacy algorithm, verbatim, as the equivalence oracle.
+    /// The builder contraction, as the equivalence oracle.
     fn contract_naive(h: &Hypergraph, cluster_of: &[usize]) -> Hypergraph {
         let k = cluster_of.iter().max().map_or(0, |&m| m + 1);
         let mut sizes = vec![0u64; k];

@@ -200,31 +200,6 @@ impl Hypergraph {
     }
 }
 
-impl Hypergraph {
-    /// Contracts node groups into coarse nodes: `cluster_of[v.index()]`
-    /// names the coarse node of `v` (dense ids `0..k`). Coarse node sizes
-    /// are group sums. Nets are re-pinned to coarse nodes; nets left with a
-    /// single distinct pin disappear, and nets with identical coarse pin
-    /// sets merge with summed capacities (the standard multilevel
-    /// coarsening rule).
-    ///
-    /// Returns the coarse hypergraph; `cluster_of` itself is the
-    /// fine→coarse node mapping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cluster_of` has the wrong length or the ids are not dense
-    /// (some id in `0..max+1` unused).
-    pub fn contract(&self, cluster_of: &[usize]) -> Hypergraph {
-        crate::coarsen::contract_with(
-            self,
-            cluster_of,
-            &mut crate::coarsen::ContractScratch::new(),
-        )
-        .0
-    }
-}
-
 /// An induced sub-hypergraph with provenance, from
 /// [`Hypergraph::induce_tracked`].
 #[derive(Clone, Debug)]
@@ -240,7 +215,11 @@ pub struct InducedSubgraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::HypergraphBuilder;
+    use crate::{contract_with, ContractScratch, HypergraphBuilder};
+
+    fn contract(h: &Hypergraph, cluster_of: &[usize]) -> Hypergraph {
+        contract_with(h, cluster_of, &mut ContractScratch::new()).0
+    }
 
     fn triangle() -> Hypergraph {
         let mut b = HypergraphBuilder::new();
@@ -316,7 +295,7 @@ mod tests {
         b.add_net(3.0, [NodeId(0), NodeId(3)]).unwrap(); // same coarse pins -> merged
         b.add_net(1.0, [NodeId(2), NodeId(3)]).unwrap(); // internal -> dropped
         let h = b.build().unwrap();
-        let coarse = h.contract(&[0, 0, 1, 1]);
+        let coarse = contract(&h, &[0, 0, 1, 1]);
         assert_eq!(coarse.num_nodes(), 2);
         assert_eq!(coarse.node_size(NodeId(0)), 2);
         assert_eq!(coarse.num_nets(), 1, "parallel coarse nets merge");
@@ -326,7 +305,7 @@ mod tests {
     #[test]
     fn contract_to_single_node_drops_all_nets() {
         let h = triangle();
-        let coarse = h.contract(&[0, 0, 0]);
+        let coarse = contract(&h, &[0, 0, 0]);
         assert_eq!(coarse.num_nodes(), 1);
         assert_eq!(coarse.num_nets(), 0);
         assert_eq!(coarse.total_size(), h.total_size());
@@ -336,7 +315,7 @@ mod tests {
     #[should_panic(expected = "dense")]
     fn contract_rejects_sparse_ids() {
         let h = triangle();
-        let _ = h.contract(&[0, 2, 2]); // id 1 unused
+        let _ = contract(&h, &[0, 2, 2]); // id 1 unused
     }
 
     #[test]
