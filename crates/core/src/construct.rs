@@ -92,67 +92,11 @@ pub fn construct_partition<R: Rng + ?Sized>(
     metric: &SpreadingMetric,
     rng: &mut R,
 ) -> Result<HierarchicalPartition, CoreError> {
-    construct_partition_budgeted(h, spec, metric, rng, &Budget::unlimited())
-}
-
-/// [`construct_partition`] under a [`Budget`]: the carve loop polls
-/// [`Budget::check_time`] before every block and inside the cut growth.
-/// Only cancellation and the wall-clock deadline can interrupt —
-/// construction consumes no rounds or probes, so a round/probe cap spent
-/// by the metric phase does not abort building on the metric in hand.
-///
-/// # Errors
-///
-/// As [`construct_partition`], plus [`CoreError::Interrupted`] when the
-/// deadline passes or the run is cancelled mid-construction (the partial
-/// partition is discarded — the caller keeps its previous best).
-pub fn construct_partition_budgeted<R: Rng + ?Sized>(
-    h: &Hypergraph,
-    spec: &TreeSpec,
-    metric: &SpreadingMetric,
-    rng: &mut R,
-    budget: &Budget,
-) -> Result<HierarchicalPartition, CoreError> {
-    if h.num_nodes() == 0 {
-        return Err(CoreError::EmptyNetlist);
-    }
-    let total = h.total_size();
-    let top = spec.level_for_size(total).ok_or(CoreError::Infeasible {
-        total_size: total,
-        root_capacity: spec.capacity(spec.root_level()),
-    })?;
-
-    if top == 0 {
-        // Everything fits in a single leaf; hang it under a 1-level root.
-        let mut b = PartitionBuilder::new(h.num_nodes(), 1);
-        let leaf = b.add_child(b.root(), 0)?;
-        for v in h.nodes() {
-            b.assign(v, leaf)?;
-        }
-        return Ok(b.build()?);
-    }
-
-    let mut b = PartitionBuilder::new(h.num_nodes(), top);
-    let root = b.root();
-    let mut scratch = CarveScratch::new(h, metric);
-    let all: Vec<NodeId> = h.nodes().collect();
-    split(
-        &mut b,
-        root,
-        top,
-        h,
-        all,
-        spec,
-        rng,
-        budget,
-        &mut scratch,
-        0,
-    )?;
-    Ok(b.build()?)
+    construct_partition_budgeted(h, spec, metric, rng, &Budget::unlimited(), None).map(|(p, _)| p)
 }
 
 /// What subtree salvage managed to reuse from the prior partition (see
-/// [`construct_partition_salvaged`]).
+/// [`construct_partition_budgeted`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SalvageReport {
     /// Root-child subtrees of the prior partition examined for reuse.
@@ -184,16 +128,37 @@ impl SalvageReport {
     }
 }
 
-/// [`construct_partition_budgeted`] with **subtree salvage** from a prior
-/// partition of the pre-edit netlist (the ECO construction path).
+/// A partition of the pre-edit netlist whose untouched subtrees an ECO
+/// construction may replay (the ECO input to Algorithm 3).
+#[derive(Clone, Copy, Debug)]
+pub struct Prior<'a> {
+    /// The prior partition.
+    pub partition: &'a HierarchicalPartition,
+    /// `node_map[old]` is the post-edit id of pre-edit node `old` (`None`
+    /// when the edit removed it).
+    pub node_map: &'a [Option<NodeId>],
+    /// `touched[new]` flags post-edit nodes the edit perturbed (see
+    /// `htp-eco`'s touched-set report).
+    pub touched: &'a [bool],
+}
+
+/// [`construct_partition`] under a [`Budget`], with optional **subtree
+/// salvage** from a [`Prior`] partition of the pre-edit netlist (the ECO
+/// construction path).
 ///
-/// Each child subtree of the prior root is a salvage candidate. A
-/// candidate is replayed verbatim into the new partition — skipping both
-/// its carving and its entire recursive descent — when its certificates
-/// still hold:
+/// The carve loop polls [`Budget::check_time`] before every block and
+/// inside the cut growth. Only cancellation and the wall-clock deadline
+/// can interrupt — construction consumes no rounds or probes, so a
+/// round/probe cap spent by the metric phase does not abort building on
+/// the metric in hand.
+///
+/// With a prior, each child subtree of the prior root is a salvage
+/// candidate. A candidate is replayed verbatim into the new partition —
+/// skipping both its carving and its entire recursive descent — when its
+/// certificates still hold:
 ///
 /// 1. **untouched**: every prior node in the subtree survives the edit
-///    (`node_map` maps it) and none of the survivors is in `touched`;
+///    (`node_map` maps it) and none of the survivors is `touched`;
 /// 2. **capacity/fanout**: every subtree vertex still satisfies the new
 ///    spec's level capacity and fanout bounds under the *edited* node
 ///    sizes, and the subtree's level sits below the new top level;
@@ -204,42 +169,42 @@ impl SalvageReport {
 /// so the greedy slot check deterministically favours the biggest
 /// savings. The remainder is carved fresh by the ordinary Algorithm 3
 /// descent with the root's child budget reduced by the accepted count.
-///
-/// `node_map[old]` maps each pre-edit node id to its post-edit id
-/// (`None` when the edit removed it); `touched[new]` flags post-edit
-/// nodes perturbed by the edit (see `htp-eco`'s touched-set report).
+/// A prior whose root sits at another level than the new top level
+/// donates nothing. The [`SalvageReport`] says what was reused (all zero
+/// without a prior).
 ///
 /// # Errors
 ///
-/// As [`construct_partition_budgeted`]; salvage never *adds* failure
-/// modes because a candidate that would make the remainder infeasible is
-/// simply not accepted.
+/// As [`construct_partition`], plus [`CoreError::Interrupted`] when the
+/// deadline passes or the run is cancelled mid-construction (the partial
+/// partition is discarded — the caller keeps its previous best). Salvage
+/// never *adds* failure modes because a candidate that would make the
+/// remainder infeasible is simply not accepted.
 ///
 /// # Panics
 ///
-/// Panics if `node_map` is not sized to the prior partition's nodes or
-/// `touched` is not sized to `h`.
-#[allow(clippy::too_many_arguments)]
-pub fn construct_partition_salvaged<R: Rng + ?Sized>(
+/// Panics if the prior's `node_map` is not sized to its partition's
+/// nodes or `touched` is not sized to `h`.
+pub fn construct_partition_budgeted<R: Rng + ?Sized>(
     h: &Hypergraph,
     spec: &TreeSpec,
     metric: &SpreadingMetric,
     rng: &mut R,
     budget: &Budget,
-    prior: &HierarchicalPartition,
-    node_map: &[Option<NodeId>],
-    touched: &[bool],
+    prior: Option<&Prior<'_>>,
 ) -> Result<(HierarchicalPartition, SalvageReport), CoreError> {
-    assert_eq!(
-        node_map.len(),
-        prior.num_nodes(),
-        "node_map must cover the prior netlist"
-    );
-    assert_eq!(
-        touched.len(),
-        h.num_nodes(),
-        "touched must cover the edited netlist"
-    );
+    if let Some(prior) = prior {
+        assert_eq!(
+            prior.node_map.len(),
+            prior.partition.num_nodes(),
+            "node_map must cover the prior netlist"
+        );
+        assert_eq!(
+            prior.touched.len(),
+            h.num_nodes(),
+            "touched must cover the edited netlist"
+        );
+    }
     if h.num_nodes() == 0 {
         return Err(CoreError::EmptyNetlist);
     }
@@ -250,14 +215,62 @@ pub fn construct_partition_salvaged<R: Rng + ?Sized>(
     })?;
 
     let mut report = SalvageReport::default();
-    if top == 0 || prior.root_level() != top {
-        // Single-leaf case, or the edit moved the instance across a level
-        // boundary: the prior root children sit at the wrong depth to be
-        // root children here, so fall through to a fresh construction.
-        let p = construct_partition_budgeted(h, spec, metric, rng, budget)?;
-        return Ok((p, report));
+    if top == 0 {
+        // Everything fits in a single leaf; hang it under a 1-level root.
+        let mut b = PartitionBuilder::new(h.num_nodes(), 1);
+        let leaf = b.add_child(b.root(), 0)?;
+        for v in h.nodes() {
+            b.assign(v, leaf)?;
+        }
+        return Ok((b.build()?, report));
     }
 
+    let mut b = PartitionBuilder::new(h.num_nodes(), top);
+    let root = b.root();
+    let mut scratch = CarveScratch::new(h, metric);
+    // A prior at another root level (the edit moved the instance across a
+    // level boundary) has its root children at the wrong depth to be root
+    // children here, so it donates nothing.
+    let mut reserved = 0;
+    if let Some(prior) = prior.filter(|p| p.partition.root_level() == top) {
+        reserved = salvage(&mut b, &mut scratch, h, spec, prior, top, &mut report)?;
+    }
+    let rem: Vec<NodeId> = h.nodes().filter(|&v| scratch.alive[v.index()]).collect();
+    if !rem.is_empty() {
+        split(
+            &mut b,
+            root,
+            top,
+            h,
+            rem,
+            spec,
+            rng,
+            budget,
+            &mut scratch,
+            reserved,
+        )?;
+    }
+    Ok((b.build()?, report))
+}
+
+/// Replays the prior root children that pass their certificates (see
+/// [`construct_partition_budgeted`]) under the builder's root and masks
+/// their nodes out of the carve. Returns the number of root slots they
+/// take.
+fn salvage(
+    b: &mut PartitionBuilder,
+    scratch: &mut CarveScratch,
+    h: &Hypergraph,
+    spec: &TreeSpec,
+    prior: &Prior<'_>,
+    top: usize,
+    report: &mut SalvageReport,
+) -> Result<u64, CoreError> {
+    let Prior {
+        partition: prior,
+        node_map,
+        touched,
+    } = *prior;
     // Old node id -> leaf vertex, gathered once (nodes_in is O(n) per call).
     let mut by_leaf: Vec<Vec<NodeId>> = vec![Vec::new(); prior.num_vertices()];
     for old in 0..prior.num_nodes() {
@@ -340,48 +353,27 @@ pub fn construct_partition_salvaged<R: Rng + ?Sized>(
     // the DFS above visited root children in prior order, and the sort
     // is stable, so this is deterministic).
     passed.sort_by_key(|c| std::cmp::Reverse(c.size));
-    let mut accepted: Vec<Candidate> = Vec::new();
+    let total = h.total_size();
+    let mut accepted = 0u64;
     let mut salv_size = 0u64;
+    let root = b.root();
     for c in passed {
-        let count = accepted.len() as u64 + 1;
+        let count = accepted + 1;
         let rem_after = total - salv_size - c.size;
         let feasible =
             count <= k && (rem_after == 0 || (count < k && rem_after <= (k - count) * ub));
-        if feasible {
-            salv_size += c.size;
-            accepted.push(c);
-        } else {
+        if !feasible {
             report.rejected_slots += 1;
+            continue;
         }
-    }
-    report.accepted = accepted.len();
-    report.salvaged_nodes = accepted.iter().map(|c| c.new_nodes.len()).sum();
-
-    // Build: replay accepted subtrees verbatim, then carve the remainder
-    // with the root's child budget reduced by the replayed count.
-    let mut b = PartitionBuilder::new(h.num_nodes(), top);
-    let root = b.root();
-    let mut scratch = CarveScratch::new(h, metric);
-    for c in &accepted {
-        replay_subtree(&mut b, root, prior, c.vertex, node_map, &by_leaf)?;
+        salv_size += c.size;
+        accepted = count;
+        report.salvaged_nodes += c.new_nodes.len();
+        replay_subtree(b, root, prior, c.vertex, node_map, &by_leaf)?;
         scratch.deactivate(h, &c.new_nodes);
     }
-    let rem: Vec<NodeId> = h.nodes().filter(|&v| scratch.alive[v.index()]).collect();
-    if !rem.is_empty() {
-        split(
-            &mut b,
-            root,
-            top,
-            h,
-            rem,
-            spec,
-            rng,
-            budget,
-            &mut scratch,
-            accepted.len() as u64,
-        )?;
-    }
-    Ok((b.build()?, report))
+    report.accepted = accepted as usize;
+    Ok(accepted)
 }
 
 /// Copies the prior subtree rooted at `q` under `parent` in the builder,
@@ -705,6 +697,7 @@ mod tests {
             &unit_metric(h),
             &mut StdRng::seed_from_u64(0),
             &budget,
+            None,
         )
         .unwrap_err();
         assert_eq!(
@@ -722,15 +715,17 @@ mod tests {
         let spec = TreeSpec::full_tree(h.total_size(), 3, 2, 1.2, 1.0).unwrap();
         let p1 =
             construct_partition(h, &spec, &unit_metric(h), &mut StdRng::seed_from_u64(6)).unwrap();
-        let p2 = construct_partition_budgeted(
+        let (p2, report) = construct_partition_budgeted(
             h,
             &spec,
             &unit_metric(h),
             &mut StdRng::seed_from_u64(6),
             &Budget::unlimited(),
+            None,
         )
         .unwrap();
         assert_eq!(p1, p2);
+        assert_eq!(report, SalvageReport::default());
     }
 
     #[test]
@@ -743,15 +738,17 @@ mod tests {
         let prior = construct_partition(h, &spec, &m, &mut StdRng::seed_from_u64(9)).unwrap();
         let node_map: Vec<Option<NodeId>> = h.nodes().map(Some).collect();
         let touched = vec![false; h.num_nodes()];
-        let (p, report) = construct_partition_salvaged(
+        let (p, report) = construct_partition_budgeted(
             h,
             &spec,
             &m,
             &mut StdRng::seed_from_u64(9),
             &Budget::unlimited(),
-            &prior,
-            &node_map,
-            &touched,
+            Some(&Prior {
+                partition: &prior,
+                node_map: &node_map,
+                touched: &touched,
+            }),
         )
         .unwrap();
         validate::validate(h, &spec, &p).unwrap();
@@ -775,15 +772,17 @@ mod tests {
         let node_map: Vec<Option<NodeId>> = h.nodes().map(Some).collect();
         let mut touched = vec![false; h.num_nodes()];
         touched[0] = true;
-        let (p, report) = construct_partition_salvaged(
+        let (p, report) = construct_partition_budgeted(
             h,
             &spec,
             &m,
             &mut StdRng::seed_from_u64(9),
             &Budget::unlimited(),
-            &prior,
-            &node_map,
-            &touched,
+            Some(&Prior {
+                partition: &prior,
+                node_map: &node_map,
+                touched: &touched,
+            }),
         )
         .unwrap();
         validate::validate(h, &spec, &p).unwrap();
@@ -808,15 +807,17 @@ mod tests {
         let shallow = HierarchicalPartition::full_kary(1, 8, &[0, 1, 2, 3, 4, 5, 6, 7]).unwrap();
         let node_map: Vec<Option<NodeId>> = h.nodes().map(Some).collect();
         let touched = vec![false; h.num_nodes()];
-        let (p, report) = construct_partition_salvaged(
+        let (p, report) = construct_partition_budgeted(
             &h,
             &spec,
             &m,
             &mut StdRng::seed_from_u64(1),
             &Budget::unlimited(),
-            &shallow,
-            &node_map,
-            &touched,
+            Some(&Prior {
+                partition: &shallow,
+                node_map: &node_map,
+                touched: &touched,
+            }),
         )
         .unwrap();
         validate::validate(&h, &spec, &p).unwrap();

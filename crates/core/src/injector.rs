@@ -1,6 +1,7 @@
 //! Algorithm 2: computing a spreading metric by stochastic flow injection.
 //!
-//! Every net carries a flow `f(e)` (initially a tiny `ε`) and a length
+//! Every net carries a flow `f(e)` (initially a tiny `ε`, or the flow a
+//! prior run left on a warm start) and a length
 //! `d(e) = exp(α · f(e) / c(e)) − 1`. Nodes whose spreading constraints may
 //! still be violated live in a working set `V'`; each round visits them in
 //! a fresh random order, grows shortest-path trees until a violated
@@ -39,10 +40,13 @@
 //!
 //! # Resilience
 //!
-//! [`compute_spreading_metric_budgeted`] threads a [`Budget`] through the
-//! loop: each round charges [`Budget::round_tick`] and each probe
-//! [`Budget::probe_tick`], so deadlines, caps, and cancellation interrupt
-//! the computation mid-round with at most one probe of latency. An
+//! [`compute_spreading_metric_budgeted`] is the one budgeted entry point,
+//! for cold starts and for ECO warm starts ([`WarmStart`]) alike; the
+//! unbudgeted [`compute_spreading_metric`] calls it with an unlimited budget
+//! and a cold start. It threads a [`Budget`] through the loop: each round
+//! charges [`Budget::round_tick`] and each probe [`Budget::probe_tick`],
+//! so deadlines, caps, and cancellation interrupt the computation
+//! mid-round with at most one probe of latency. An
 //! interrupted round commits the probes that did finish and keeps every
 //! unprobed node in the working set — the partial metric is still a valid
 //! length assignment, just not yet converged
@@ -324,7 +328,7 @@ pub fn compute_spreading_metric<R: Rng + ?Sized>(
     params: FlowParams,
     rng: &mut R,
 ) -> (SpreadingMetric, InjectionStats) {
-    compute_spreading_metric_budgeted(h, spec, params, rng, &Budget::unlimited())
+    compute_spreading_metric_budgeted(h, spec, params, rng, &Budget::unlimited(), None)
 }
 
 /// Outcome of one probe slot in a round, consumed by the commit phase.
@@ -363,45 +367,6 @@ const ADAPTIVE_MIN_NODES: usize = 256;
 /// Cap on the backoff exponent: deferral never exceeds `2^6 = 64` rounds.
 const MAX_BACKOFF: u8 = 6;
 
-/// [`compute_spreading_metric`] under a [`Budget`]: deadlines, round and
-/// probe caps, and cancellation interrupt the computation cooperatively
-/// (see the [module docs](self)).
-///
-/// On an interrupt the function still returns the metric accumulated so
-/// far — a valid, partially-converged length assignment — with
-/// [`InjectionStats::interrupt`] naming the reason and
-/// [`InjectionStats::converged`] `false`. Probe panics are contained per
-/// probe and counted in [`InjectionStats::panicked_probes`]; the panic
-/// payload itself goes through the process's panic hook, so set a quiet
-/// hook in tests that inject panics on purpose.
-///
-/// # Panics
-///
-/// Panics if the parameters are out of range (see [`FlowParams::check`])
-/// or the netlist is empty.
-pub fn compute_spreading_metric_budgeted<R: Rng + ?Sized>(
-    h: &Hypergraph,
-    spec: &TreeSpec,
-    params: FlowParams,
-    rng: &mut R,
-    budget: &Budget,
-) -> (SpreadingMetric, InjectionStats) {
-    params.validate();
-    assert!(
-        h.num_nodes() > 0,
-        "cannot compute a metric for an empty netlist"
-    );
-
-    let flow: Vec<f64> = vec![params.epsilon; h.num_nets()];
-    let metric = SpreadingMetric::from_lengths(
-        h.nets()
-            .map(|e| length_of(params.alpha, params.epsilon, h.net_capacity(e)))
-            .collect(),
-    );
-    let active: Vec<NodeId> = h.nodes().collect();
-    run_injection(h, spec, params, rng, budget, flow, metric, active)
-}
-
 /// Prior converged state to seed an incremental (ECO) metric run from.
 ///
 /// A converged metric stays a *feasible* length assignment for every
@@ -423,15 +388,18 @@ pub struct WarmStart<'a> {
     pub active: &'a [NodeId],
 }
 
-/// [`compute_spreading_metric_budgeted`] seeded from a prior converged
-/// run (see [`WarmStart`]).
+/// [`compute_spreading_metric`] under a [`Budget`], optionally seeded from
+/// a prior converged run: deadlines, round and probe caps, and
+/// cancellation interrupt the computation cooperatively (see the
+/// [module docs](self)).
 ///
-/// The carried lengths are inverted back to flows with
-/// `f = (c/α)·ln(d + 1)` (clamped to at least `ε`) so injections continue
-/// to re-price exponentially from where the prior run stopped. With every
-/// length `None` and every node active this is bit-identical to the cold
-/// [`compute_spreading_metric_budgeted`]; the cold entry point itself is
-/// untouched, so existing goldens cannot move.
+/// With `warm = None` the run starts cold: every net at the epsilon flow
+/// and every node in the working set. With a [`WarmStart`] the carried
+/// lengths are inverted back to flows with `f = (c/α)·ln(d + 1)` (clamped
+/// to at least `ε`) so injections continue to re-price exponentially from
+/// where the prior run stopped, and only `warm.active` starts in the
+/// working set. A warm start with every length `None` and every node
+/// active is bit-identical to the cold one.
 ///
 /// Soundness caveat: retiring the untouched nodes up front is exact for
 /// edits that only *remove* short paths (net removal, capacity increase)
@@ -441,71 +409,72 @@ pub struct WarmStart<'a> {
 /// partition either way — an under-converged metric costs quality, not
 /// correctness — and the differential harness bounds that quality gap.
 ///
+/// On an interrupt the function still returns the metric accumulated so
+/// far — a valid, partially-converged length assignment — with
+/// [`InjectionStats::interrupt`] naming the reason and
+/// [`InjectionStats::converged`] `false`. Probe panics are contained per
+/// probe and counted in [`InjectionStats::panicked_probes`]; the panic
+/// payload itself goes through the process's panic hook, so set a quiet
+/// hook in tests that inject panics on purpose.
+///
 /// # Panics
 ///
-/// Panics if the parameters are out of range, the netlist is empty, or
-/// `warm.lengths` does not have one entry per net.
-pub fn compute_spreading_metric_warm<R: Rng + ?Sized>(
+/// Panics if the parameters are out of range (see [`FlowParams::check`]),
+/// the netlist is empty, or `warm.lengths` does not have one entry per
+/// net.
+pub fn compute_spreading_metric_budgeted<R: Rng + ?Sized>(
     h: &Hypergraph,
     spec: &TreeSpec,
     params: FlowParams,
     rng: &mut R,
     budget: &Budget,
-    warm: &WarmStart<'_>,
+    warm: Option<&WarmStart<'_>>,
 ) -> (SpreadingMetric, InjectionStats) {
     params.validate();
     assert!(
         h.num_nodes() > 0,
         "cannot compute a metric for an empty netlist"
     );
-    assert_eq!(
-        warm.lengths.len(),
-        h.num_nets(),
-        "warm start needs one prior length slot per net"
-    );
-
-    // Invert carried lengths to flows; flow and length must stay the
-    // consistent pair (f, d(f)) or later injections would re-price from
-    // the wrong base. Clamping to epsilon keeps lengths positive and only
-    // ever raises a carried length, which monotonicity makes safe.
-    let mut flow: Vec<f64> = Vec::with_capacity(h.num_nets());
-    for e in h.nets() {
-        let c = h.net_capacity(e);
-        let f = match warm.lengths[e.index()] {
-            Some(d) if d.is_finite() && d >= 0.0 => (c / params.alpha) * (d + 1.0).ln(),
-            _ => params.epsilon,
-        };
-        flow.push(f.max(params.epsilon));
-    }
-    let metric = SpreadingMetric::from_lengths(
+    let (mut flow, mut active): (Vec<f64>, Vec<NodeId>) = match warm {
+        None => (vec![params.epsilon; h.num_nets()], h.nodes().collect()),
+        Some(warm) => {
+            assert_eq!(
+                warm.lengths.len(),
+                h.num_nets(),
+                "warm start needs one prior length slot per net"
+            );
+            // Flow and length must stay the consistent pair (f, d(f)) or
+            // later injections would re-price from the wrong base.
+            // Clamping to epsilon keeps lengths positive and only ever
+            // raises a carried length, which monotonicity makes safe.
+            let flow = h
+                .nets()
+                .map(|e| {
+                    let c = h.net_capacity(e);
+                    let f = match warm.lengths[e.index()] {
+                        Some(d) if d.is_finite() && d >= 0.0 => (c / params.alpha) * (d + 1.0).ln(),
+                        _ => params.epsilon,
+                    };
+                    f.max(params.epsilon)
+                })
+                .collect();
+            let mut active: Vec<NodeId> = warm
+                .active
+                .iter()
+                .copied()
+                .filter(|v| v.index() < h.num_nodes())
+                .collect();
+            active.sort_unstable();
+            active.dedup();
+            (flow, active)
+        }
+    };
+    let mut metric = SpreadingMetric::from_lengths(
         h.nets()
             .map(|e| length_of(params.alpha, flow[e.index()], h.net_capacity(e)))
             .collect(),
     );
-    let mut active: Vec<NodeId> = warm
-        .active
-        .iter()
-        .copied()
-        .filter(|v| v.index() < h.num_nodes())
-        .collect();
-    active.sort_unstable();
-    active.dedup();
-    run_injection(h, spec, params, rng, budget, flow, metric, active)
-}
 
-/// The shared injection loop behind the cold and warm entry points: runs
-/// Algorithm 2 from the given `(flow, metric, active)` starting state.
-#[allow(clippy::too_many_arguments)]
-fn run_injection<R: Rng + ?Sized>(
-    h: &Hypergraph,
-    spec: &TreeSpec,
-    params: FlowParams,
-    rng: &mut R,
-    budget: &Budget,
-    mut flow: Vec<f64>,
-    mut metric: SpreadingMetric,
-    mut active: Vec<NodeId>,
-) -> (SpreadingMetric, InjectionStats) {
     let mut stats = InjectionStats {
         converged: true,
         ..InjectionStats::default()
@@ -1036,6 +1005,7 @@ mod tests {
             FlowParams::default(),
             &mut StdRng::seed_from_u64(13),
             &Budget::unlimited(),
+            None,
         );
         assert_eq!(m1, m2);
         assert_eq!(s1, s2);
@@ -1054,6 +1024,7 @@ mod tests {
             FlowParams::default(),
             &mut StdRng::seed_from_u64(3),
             &budget,
+            None,
         );
         assert_eq!(stats.interrupt, Some(crate::Interrupt::ProbeLimit));
         assert!(!stats.converged);
@@ -1076,6 +1047,7 @@ mod tests {
             FlowParams::default(),
             &mut StdRng::seed_from_u64(3),
             &budget,
+            None,
         );
         assert_eq!(stats.interrupt, Some(crate::Interrupt::RoundLimit));
         assert_eq!(stats.rounds, 2);
@@ -1094,6 +1066,7 @@ mod tests {
             FlowParams::default(),
             &mut StdRng::seed_from_u64(3),
             &budget,
+            None,
         );
         assert_eq!(stats.interrupt, Some(crate::Interrupt::Cancelled));
         assert_eq!(stats.rounds, 0);
@@ -1121,6 +1094,7 @@ mod tests {
                 flow,
                 &mut StdRng::seed_from_u64(4),
                 &Budget::unlimited().with_max_rounds(3),
+                None,
             )
         };
         let (m1, s1) = run(1);
@@ -1155,19 +1129,20 @@ mod tests {
             params,
             &mut StdRng::seed_from_u64(11),
             &Budget::unlimited(),
+            None,
         );
         let lengths: Vec<Option<f64>> = vec![None; h.num_nets()];
         let active: Vec<NodeId> = h.nodes().collect();
-        let (warm, warm_stats) = compute_spreading_metric_warm(
+        let (warm, warm_stats) = compute_spreading_metric_budgeted(
             &h,
             &spec,
             params,
             &mut StdRng::seed_from_u64(11),
             &Budget::unlimited(),
-            &WarmStart {
+            Some(&WarmStart {
                 lengths: &lengths,
                 active: &active,
-            },
+            }),
         );
         assert_eq!(cold, warm, "all-cold warm start must match the cold path");
         assert_eq!(cold_stats, warm_stats);
@@ -1181,16 +1156,16 @@ mod tests {
         let (m, stats) = compute_spreading_metric(&h, &spec, params, &mut StdRng::seed_from_u64(3));
         assert!(stats.converged);
         let lengths: Vec<Option<f64>> = h.nets().map(|e| Some(m.length(e))).collect();
-        let (warm, warm_stats) = compute_spreading_metric_warm(
+        let (warm, warm_stats) = compute_spreading_metric_budgeted(
             &h,
             &spec,
             params,
             &mut StdRng::seed_from_u64(3),
             &Budget::unlimited(),
-            &WarmStart {
+            Some(&WarmStart {
                 lengths: &lengths,
                 active: &[],
-            },
+            }),
         );
         assert!(warm_stats.converged);
         assert_eq!(warm_stats.injections, 0, "nothing was live to re-price");
@@ -1224,16 +1199,16 @@ mod tests {
             })
             .collect();
         let active = [NodeId::new(10), NodeId::new(11)];
-        let (warm, warm_stats) = compute_spreading_metric_warm(
+        let (warm, warm_stats) = compute_spreading_metric_budgeted(
             &h,
             &spec,
             params,
             &mut StdRng::seed_from_u64(5),
             &Budget::unlimited(),
-            &WarmStart {
+            Some(&WarmStart {
                 lengths: &lengths,
                 active: &active,
-            },
+            }),
         );
         assert!(warm_stats.converged, "stats: {warm_stats:?}");
         // Every constraint of the live nodes must hold after the restart.

@@ -5,15 +5,16 @@
 //! feasible partition seen. Running several constructions per metric is the
 //! extension suggested in the paper's conclusions: the metric computation
 //! dominates the runtime, so re-rolling only the (randomized) construction
-//! buys extra quality almost for free.
+//! buys extra quality almost for free. An ECO (incremental) solve is the
+//! same loop started from a prior solve's state ([`WarmSeed`]).
 
 use rand::Rng;
 
 use htp_model::{cost, validate, HierarchicalPartition, TreeSpec};
-use htp_netlist::Hypergraph;
+use htp_netlist::{Hypergraph, NodeId};
 
-use crate::construct::construct_partition_budgeted;
-use crate::injector::{compute_spreading_metric_budgeted, FlowParams, InjectionStats};
+use crate::construct::{construct_partition_budgeted, Prior, SalvageReport};
+use crate::injector::{compute_spreading_metric_budgeted, FlowParams, InjectionStats, WarmStart};
 use crate::runtime::{Budget, Interrupt, RunOutcome};
 use crate::{CoreError, SpreadingMetric};
 
@@ -62,6 +63,9 @@ pub struct FlowResult {
     pub cost: f64,
     /// The spreading metric that produced the best partition.
     pub metric: SpreadingMetric,
+    /// What the best partition's construction salvaged from the seed's
+    /// prior partition (all zero for an unseeded run).
+    pub salvage: SalvageReport,
     /// Per-iteration log.
     pub history: Vec<IterationRecord>,
 }
@@ -77,6 +81,28 @@ pub struct BudgetedRun {
     /// partially-converged metric — still a valid partition, possibly of
     /// lower quality than a full run's.
     pub result: FlowResult,
+    /// The interrupt that ended the run early, from the metric or from a
+    /// construction (`None` when every iteration ran to the end).
+    pub interrupt: Option<Interrupt>,
+}
+
+/// An ECO (incremental) input to Algorithm 1: the state a prior solve of
+/// the pre-edit netlist left, in the edited netlist's id space.
+///
+/// A seeded run differs from a cold one in three rules, each a property
+/// of this input (see [`FlowPartitioner::run_seeded`]).
+#[derive(Clone, Copy, Debug)]
+pub struct WarmSeed<'a> {
+    /// Per-net carried lengths (`None` starts a net cold), as in
+    /// [`WarmStart::lengths`].
+    pub lengths: &'a [Option<f64>],
+    /// The nodes whose spreading constraints the edit may have perturbed.
+    pub touched: &'a [NodeId],
+    /// The prior partition of the pre-edit netlist.
+    pub prior: &'a HierarchicalPartition,
+    /// `node_map[old]` is the post-edit id of pre-edit node `old` (`None`
+    /// when the edit removed it).
+    pub node_map: &'a [Option<NodeId>],
 }
 
 /// The network-flow-based constructive partitioner (**Algorithm 1**).
@@ -197,6 +223,75 @@ impl FlowPartitioner {
         rng: &mut R,
         budget: &Budget,
     ) -> Result<BudgetedRun, CoreError> {
+        self.run_seeded(h, spec, rng, budget, None)
+    }
+
+    /// [`run_with_budget`](FlowPartitioner::run_with_budget), optionally
+    /// started from an ECO [`WarmSeed`]. Without a seed this is the cold
+    /// Algorithm 1. A seed changes three rules, and nothing else:
+    ///
+    /// * **Metric start.** Each iteration's metric starts from the carried
+    ///   lengths with only the touched nodes active — a local
+    ///   re-convergence with a fresh slice of the rng stream, so the
+    ///   best-of-`iterations` still samples the injector's variance. The
+    ///   last iteration activates every node instead: satisfied constraints
+    ///   retire after one cheap probe, while a far constraint the edit
+    ///   invalidated (a new near-zero-length net can shorten distances
+    ///   well outside the touched closure) is caught and re-injected, so
+    ///   at least one metric of the run is re-validated against the whole
+    ///   edited netlist.
+    /// * **Construction order.** Each iteration first tries
+    ///   `constructions_per_metric` salvaged constructions (replaying
+    ///   untouched prior subtrees, see
+    ///   [`construct_partition_budgeted`]), then as many plain ones, so
+    ///   quality keeps parity with a cold run when the prior structure
+    ///   fits the edited netlist poorly.
+    /// * **Budget pre-check.** An unseeded iteration does not start once
+    ///   the budget is spent. A seeded one starts anyway: its carried
+    ///   lengths are already a usable metric, so even an immediately
+    ///   interrupted metric still feeds salvage constructions.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_with_budget`](FlowPartitioner::run_with_budget).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the seed is not sized to `h` (see [`WarmStart`] and
+    /// [`Prior`]).
+    pub fn run_seeded<R: Rng + ?Sized>(
+        &self,
+        h: &Hypergraph,
+        spec: &TreeSpec,
+        rng: &mut R,
+        budget: &Budget,
+        seed: Option<&WarmSeed<'_>>,
+    ) -> Result<BudgetedRun, CoreError> {
+        // What a seed derives once: the touched mask salvage checks, and
+        // the node set its last iteration re-validates.
+        let (touched, all_nodes): (Vec<bool>, Vec<NodeId>) = match seed {
+            Some(s) => {
+                let mut touched = vec![false; h.num_nodes()];
+                for &v in s.touched {
+                    touched[v.index()] = true;
+                }
+                (touched, h.nodes().collect())
+            }
+            None => (Vec::new(), Vec::new()),
+        };
+        let prior = seed.map(|s| Prior {
+            partition: s.prior,
+            node_map: s.node_map,
+            touched: &touched,
+        });
+        // Each iteration's construction attempts: with a seed,
+        // `constructions_per_metric` salvaged ones, then as many plain ones.
+        let k = self.params.constructions_per_metric;
+        let attempts: Vec<Option<&Prior<'_>>> = match &prior {
+            Some(prior) => [vec![Some(prior); k], vec![None; k]].concat(),
+            None => vec![None; k],
+        };
+
         let mut best: Option<FlowResult> = None;
         let mut best_from_partial = false;
         let mut history = Vec::with_capacity(self.params.iterations);
@@ -204,13 +299,29 @@ impl FlowPartitioner {
         let mut interrupt: Option<Interrupt> = None;
         let mut faulted = false;
 
-        for _ in 0..self.params.iterations {
-            if let Err(irq) = budget.check() {
-                interrupt = Some(irq);
-                break;
+        for iteration in 0..self.params.iterations {
+            if seed.is_none() {
+                if let Err(irq) = budget.check() {
+                    interrupt = Some(irq);
+                    break;
+                }
             }
-            let (metric, stats) =
-                compute_spreading_metric_budgeted(h, spec, self.params.flow, rng, budget);
+            let warm = seed.map(|s| WarmStart {
+                lengths: s.lengths,
+                active: if iteration + 1 == self.params.iterations {
+                    &all_nodes
+                } else {
+                    s.touched
+                },
+            });
+            let (metric, stats) = compute_spreading_metric_budgeted(
+                h,
+                spec,
+                self.params.flow,
+                rng,
+                budget,
+                warm.as_ref(),
+            );
             if stats.panicked_probes > 0 || stats.oracle_faults > 0 {
                 faulted = true;
             }
@@ -222,16 +333,16 @@ impl FlowPartitioner {
             // run them unbudgeted (construction is a small fraction of the
             // metric's cost, and the expired budget would abort them
             // immediately), then stop after this iteration.
-            let salvage = Budget::unlimited();
+            let unlimited = Budget::unlimited();
             let construct_budget = if metric_irq.is_some() {
-                &salvage
+                &unlimited
             } else {
                 budget
             };
 
-            for _ in 0..self.params.constructions_per_metric {
-                match construct_partition_budgeted(h, spec, &metric, rng, construct_budget) {
-                    Ok(p) => {
+            for &prior in &attempts {
+                match construct_partition_budgeted(h, spec, &metric, rng, construct_budget, prior) {
+                    Ok((p, salvage)) => {
                         if let Err(e) = validate::validate(h, spec, &p) {
                             last_err = CoreError::Model(e);
                             continue;
@@ -246,6 +357,7 @@ impl FlowPartitioner {
                                 partition: p,
                                 cost: c,
                                 metric: metric.clone(),
+                                salvage,
                                 history: Vec::new(),
                             });
                             best_from_partial = metric_irq.is_some();
@@ -273,7 +385,11 @@ impl FlowPartitioner {
             Some(mut result) => {
                 result.history = history;
                 let outcome = RunOutcome::of_run(interrupt, best_from_partial, faulted);
-                Ok(BudgetedRun { outcome, result })
+                Ok(BudgetedRun {
+                    outcome,
+                    result,
+                    interrupt,
+                })
             }
             None => match interrupt {
                 Some(irq) => Err(CoreError::Interrupted(irq)),

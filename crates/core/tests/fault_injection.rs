@@ -121,7 +121,7 @@ fn seeded_probe_panic_is_contained_and_recorded() {
             };
             let mut run_rng = StdRng::seed_from_u64(4);
             let (metric, stats) =
-                compute_spreading_metric_budgeted(h, &spec, flow, &mut run_rng, &budget);
+                compute_spreading_metric_budgeted(h, &spec, flow, &mut run_rng, &budget, None);
 
             let what = format!("unit sizes {}, threads={threads}", h.has_unit_sizes());
             assert_eq!(stats.panicked_probes, 2, "{what}");
@@ -188,8 +188,14 @@ fn injected_oracle_errors_are_recorded_and_survived() {
         .oracle_error_at_probe(11);
     let budget = Budget::unlimited().with_faults(plan);
     let mut run_rng = StdRng::seed_from_u64(12);
-    let (_, stats) =
-        compute_spreading_metric_budgeted(h, &spec, FlowParams::default(), &mut run_rng, &budget);
+    let (_, stats) = compute_spreading_metric_budgeted(
+        h,
+        &spec,
+        FlowParams::default(),
+        &mut run_rng,
+        &budget,
+        None,
+    );
     assert_eq!(stats.oracle_faults, 2);
     assert!(stats.converged);
 }
@@ -213,7 +219,7 @@ fn seeded_panic_rate_is_reproducible() {
             ..FlowParams::default()
         };
         let mut run_rng = StdRng::seed_from_u64(16);
-        compute_spreading_metric_budgeted(h, &spec, flow, &mut run_rng, &budget)
+        compute_spreading_metric_budgeted(h, &spec, flow, &mut run_rng, &budget, None)
     };
     let (m1, s1) = run(1);
     let (m1_again, s1_again) = run(1);

@@ -19,6 +19,7 @@ fn exact_round_budget_boundary() {
         FlowParams::default(),
         &mut StdRng::seed_from_u64(23),
         &Budget::unlimited(),
+        None,
     );
     let natural = stats.rounds as u64;
     println!(

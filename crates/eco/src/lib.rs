@@ -19,12 +19,15 @@
 //!   old→new id maps and the one-hop-expanded perturbation frontier.
 //!   [`diff`] recovers the same report from two already-built netlists
 //!   (the job-server resubmission path).
-//! * [`session`] — [`warm_partition`] runs the incremental pipeline
-//!   (warm metric restarts on the touched frontier, then construction
-//!   with subtree salvage), behind a [`WarmPolicy`] locality gate that
-//!   routes non-local or tiny edits back to cold metrics; [`EcoSession`]
-//!   chains edits, feeding each solve's converged lengths and partition
-//!   into the next edit.
+//! * [`session`] — [`warm_partition`] puts a [`WarmPolicy`] locality gate
+//!   in front of the partitioner: non-local or tiny edits go back to cold
+//!   metrics, and local ones run Algorithm 1 itself
+//!   (`FlowPartitioner::run_seeded` in `htp-core`) seeded with the prior
+//!   state — warm metric restarts on the touched frontier, then
+//!   construction with subtree salvage. The crate keeps no solver loop of
+//!   its own, so budgets, outcomes and errors follow the cold
+//!   partitioner's rules. [`EcoSession`] chains edits, feeding each
+//!   solve's converged lengths and partition into the next edit.
 //! * [`script`] — seeded random edit scripts, scattered
 //!   ([`random_delta`]) or neighborhood-clustered like a real ECO
 //!   ([`random_delta_clustered`]), shared by the differential tests and

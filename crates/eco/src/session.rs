@@ -1,15 +1,14 @@
-//! The incremental solve driver: warm metric + salvaged construction,
-//! and the [`EcoSession`] that chains edits across calls.
+//! The incremental solve driver: the [`WarmPolicy`] gate in front of the
+//! partitioner's seeded run, and the [`EcoSession`] that chains edits
+//! across calls.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use htp_core::construct::{
-    construct_partition_budgeted, construct_partition_salvaged, SalvageReport,
-};
-use htp_core::injector::{compute_spreading_metric_warm, InjectionStats, WarmStart};
-use htp_core::partitioner::{FlowPartitioner, PartitionerParams};
-use htp_core::{Budget, CoreError, Interrupt, RunOutcome};
+use htp_core::construct::{construct_partition_budgeted, Prior, SalvageReport};
+use htp_core::injector::InjectionStats;
+use htp_core::partitioner::{FlowPartitioner, IterationRecord, PartitionerParams, WarmSeed};
+use htp_core::{Budget, CoreError, RunOutcome};
 use htp_model::{cost, validate, HierarchicalPartition, TreeSpec};
 use htp_netlist::Hypergraph;
 
@@ -94,36 +93,21 @@ pub struct EcoReport {
     pub warm: bool,
 }
 
-/// Runs the incremental pipeline: first the [`WarmPolicy`] locality gate
-/// (a touched closure past `cold_fallback_fraction` routes to the cold
-/// fallback — fresh metrics, prior subtrees still offered to
-/// construction); then, like the cold solver's outer loop,
-/// `params.iterations` metric+construct rounds — but each round's metric
-/// is warm-started from the prior lengths (only `report.touched_nodes`
-/// live for re-pricing), so a round costs a local re-convergence instead
-/// of a from-scratch one. Multiple warm rounds matter for quality, not
-/// just speed: the stochastic injector's metric-to-metric variance is
-/// what the cold solver's best-of-`iterations` exploits, and a single
-/// warm metric would forfeit that.
-///
-/// Each round constructs both *salvaged* attempts (replaying untouched
-/// prior subtrees) and plain attempts from its warm metric; the best
-/// partition across all rounds wins, and that round's converged lengths
-/// become the next edit's warm seed.
-///
-/// The outcome follows the cold partitioner's rule
-/// ([`RunOutcome::of_run`]): an interrupted metric still constructs
-/// (unbudgeted salvage) and stops iterating. The run is then
-/// [`RunOutcome::Degraded`] when the best partition came from that
-/// interrupted metric and [`RunOutcome::DeadlineExceeded`] when it came
-/// from an earlier, clean round; an explicit cancel is
-/// [`RunOutcome::Cancelled`]; contained probe faults degrade an
-/// otherwise-complete run. Reported stats aggregate every round.
+/// Runs the incremental pipeline: the [`WarmPolicy`] locality gate, then
+/// Algorithm 1 seeded with the prior state ([`FlowPartitioner::run_seeded`]
+/// names the three rules a seed changes). A touched closure past
+/// `cold_fallback_fraction`, or a netlist under `min_warm_nodes`, takes
+/// the cold fallback instead: fresh metrics, with the prior subtrees still
+/// offered to construction. The best partition's metric lengths become
+/// the next edit's warm seed; the stats aggregate every metric run and
+/// carry the run's final interrupt.
 ///
 /// # Errors
 ///
 /// [`EcoError::PriorMismatch`] when the prior state does not fit;
-/// [`EcoError::Core`] when no construction produced a feasible partition.
+/// [`EcoError::Core`] for invalid params (checked before the gate, with
+/// the cold route's [`CoreError::InvalidParams`]) or when no construction
+/// produced a feasible partition.
 #[allow(clippy::too_many_arguments)]
 pub fn warm_partition<R: Rng + ?Sized>(
     new_h: &Hypergraph,
@@ -136,46 +120,6 @@ pub fn warm_partition<R: Rng + ?Sized>(
     rng: &mut R,
     budget: &Budget,
 ) -> Result<WarmRun, EcoError> {
-    warm_partition_rounds(
-        new_h,
-        spec,
-        params,
-        policy,
-        prior_partition,
-        prior_lengths,
-        report,
-        rng,
-        budget,
-    )
-    .map(|(run, _)| run)
-}
-
-/// Sums per-metric-run stats into one aggregate.
-fn aggregate(runs: &[InjectionStats]) -> InjectionStats {
-    let mut agg = InjectionStats {
-        converged: true,
-        ..InjectionStats::default()
-    };
-    for stats in runs {
-        agg.accumulate(stats);
-    }
-    agg
-}
-
-/// [`warm_partition`], also returning the stats of every metric run its
-/// [`WarmRun::stats`] aggregates.
-#[allow(clippy::too_many_arguments)]
-fn warm_partition_rounds<R: Rng + ?Sized>(
-    new_h: &Hypergraph,
-    spec: &TreeSpec,
-    params: &PartitionerParams,
-    policy: &WarmPolicy,
-    prior_partition: &HierarchicalPartition,
-    prior_lengths: &[f64],
-    report: &TouchedReport,
-    rng: &mut R,
-    budget: &Budget,
-) -> Result<(WarmRun, Vec<InjectionStats>), EcoError> {
     if prior_lengths.len() != report.net_map.len() {
         return Err(EcoError::PriorMismatch {
             what: "prior lengths are not sized to the prior netlist's nets",
@@ -189,6 +133,7 @@ fn warm_partition_rounds<R: Rng + ?Sized>(
     if new_h.num_nodes() == 0 {
         return Err(EcoError::Core(CoreError::EmptyNetlist));
     }
+    let partitioner = FlowPartitioner::try_new(*params)?;
 
     // The edit-locality gate: a non-local edit (too much of the netlist
     // in the touched closure) is better served by fresh metrics. Decided
@@ -197,135 +142,48 @@ fn warm_partition_rounds<R: Rng + ?Sized>(
     let touched_fraction = report.touched_nodes.len() as f64 / new_h.num_nodes() as f64;
     if new_h.num_nodes() < policy.min_warm_nodes || touched_fraction > policy.cold_fallback_fraction
     {
-        return cold_fallback(new_h, spec, params, prior_partition, report, rng, budget);
+        return cold_fallback(
+            &partitioner,
+            new_h,
+            spec,
+            prior_partition,
+            report,
+            rng,
+            budget,
+        );
     }
 
     let carry = report.carry_lengths(prior_lengths, new_h.num_nets());
-    let touched_mask = report.touched_mask(new_h.num_nodes());
-    let unlimited = Budget::unlimited();
+    let seed = WarmSeed {
+        lengths: &carry,
+        touched: &report.touched_nodes,
+        prior: prior_partition,
+        node_map: &report.node_map,
+    };
+    let run = partitioner.run_seeded(new_h, spec, rng, budget, Some(&seed))?;
+    let mut stats = aggregate(&run.result.history);
+    stats.interrupt = run.interrupt;
+    Ok(WarmRun {
+        partition: run.result.partition,
+        cost: run.result.cost,
+        lengths: run.result.metric.lengths().to_vec(),
+        outcome: run.outcome,
+        stats,
+        salvage: run.result.salvage,
+        warm: true,
+    })
+}
 
-    // Best across every round, with the lengths of the metric that
-    // produced it (the next edit's warm seed).
-    let mut best: Option<(HierarchicalPartition, f64, SalvageReport, Vec<f64>)> = None;
-    let mut best_from_partial = false;
-    let mut last_err = CoreError::EmptyNetlist;
-    let mut interrupt: Option<Interrupt> = None;
-    let mut metric_irq: Option<Interrupt> = None;
-    let mut round_stats = Vec::new();
-    let attempts = params.constructions_per_metric.max(1);
-
-    let rounds = params.iterations.max(1);
-    let all_nodes: Vec<_> = new_h.nodes().collect();
-    'rounds: for round in 0..rounds {
-        // Every round re-prices the same touched frontier from the same
-        // carried lengths, but with a fresh slice of the rng stream — an
-        // independent sample of the stochastic injector. The final round
-        // probes the *full* node set: satisfied constraints retire after
-        // one cheap probe, while any far constraint an edit invalidated
-        // (a new near-zero-length net can shorten distances well outside
-        // the touched closure) gets caught and re-injected — so at least
-        // one metric in the portfolio is fully re-validated against the
-        // edited netlist.
-        let active: &[_] = if round + 1 == rounds {
-            &all_nodes
-        } else {
-            &report.touched_nodes
-        };
-        let (metric, stats) = compute_spreading_metric_warm(
-            new_h,
-            spec,
-            params.flow,
-            rng,
-            budget,
-            &WarmStart {
-                lengths: &carry,
-                active,
-            },
-        );
-        let round_irq = stats.interrupt;
-        round_stats.push(stats);
-
-        // As in the cold partitioner: constructions from an interrupted
-        // metric are salvage work and run unbudgeted.
-        let construct_budget = if round_irq.is_some() {
-            &unlimited
-        } else {
-            budget
-        };
-
-        // Construction portfolio: salvaged attempts (replay untouched
-        // prior subtrees, carve only the perturbed remainder) *and*
-        // plain attempts from the warm metric. Salvage gives speed and
-        // stability; the plain attempts keep quality parity with a cold
-        // run when the prior structure is a poor fit for the edited
-        // instance. Construction is a small fraction of the metric
-        // phase's cost, so doubling the attempts barely dents the warm
-        // speedup.
-        for attempt in 0..attempts * 2 {
-            let salvaged = attempt < attempts;
-            let built = if salvaged {
-                construct_partition_salvaged(
-                    new_h,
-                    spec,
-                    &metric,
-                    rng,
-                    construct_budget,
-                    prior_partition,
-                    &report.node_map,
-                    &touched_mask,
-                )
-            } else {
-                construct_partition_budgeted(new_h, spec, &metric, rng, construct_budget)
-                    .map(|p| (p, SalvageReport::default()))
-            };
-            match built {
-                Ok((p, salvage)) => {
-                    if let Err(e) = validate::validate(new_h, spec, &p) {
-                        last_err = CoreError::Model(e);
-                        continue;
-                    }
-                    let c = cost::partition_cost(new_h, spec, &p);
-                    if best.as_ref().is_none_or(|(_, b, _, _)| c < *b) {
-                        best = Some((p, c, salvage, metric.lengths().to_vec()));
-                        best_from_partial = round_irq.is_some();
-                    }
-                }
-                Err(CoreError::Interrupted(irq)) => {
-                    interrupt = Some(irq);
-                    break 'rounds;
-                }
-                Err(e) => last_err = e,
-            }
-        }
-
-        if round_irq.is_some() {
-            metric_irq = round_irq;
-            break;
-        }
+/// Sums the metric stats of every iteration into one aggregate.
+fn aggregate(history: &[IterationRecord]) -> InjectionStats {
+    let mut agg = InjectionStats {
+        converged: true,
+        ..InjectionStats::default()
+    };
+    for record in history {
+        agg.accumulate(&record.stats);
     }
-    let mut agg = aggregate(&round_stats);
-    agg.interrupt = interrupt.or(metric_irq);
-
-    match best {
-        Some((partition, cost, salvage, lengths)) => {
-            let faulted = agg.panicked_probes > 0 || agg.oracle_faults > 0;
-            let outcome = RunOutcome::of_run(agg.interrupt, best_from_partial, faulted);
-            let run = WarmRun {
-                partition,
-                cost,
-                lengths,
-                outcome,
-                stats: agg,
-                salvage,
-                warm: true,
-            };
-            Ok((run, round_stats))
-        }
-        None => match interrupt {
-            Some(irq) => Err(EcoError::Core(CoreError::Interrupted(irq))),
-            None => Err(EcoError::Core(last_err)),
-        },
-    }
+    agg
 }
 
 /// The non-local-edit path: a full cold solve, with the prior partition's
@@ -333,33 +191,35 @@ fn warm_partition_rounds<R: Rng + ?Sized>(
 /// off the same rng stream a from-scratch solve would, so (given the same
 /// seed) it can only match or beat one.
 fn cold_fallback<R: Rng + ?Sized>(
+    partitioner: &FlowPartitioner,
     new_h: &Hypergraph,
     spec: &TreeSpec,
-    params: &PartitionerParams,
     prior_partition: &HierarchicalPartition,
     report: &TouchedReport,
     rng: &mut R,
     budget: &Budget,
-) -> Result<(WarmRun, Vec<InjectionStats>), EcoError> {
-    let run = FlowPartitioner::try_new(*params)?.run_with_budget(new_h, spec, rng, budget)?;
-    let run_stats: Vec<InjectionStats> = run.result.history.iter().map(|r| r.stats).collect();
+) -> Result<WarmRun, EcoError> {
+    let run = partitioner.run_with_budget(new_h, spec, rng, budget)?;
 
     // Salvaged attempts against the winning cold metric: untouched prior
     // subtrees may still beat freshly carved ones.
-    let touched_mask = report.touched_mask(new_h.num_nodes());
+    let touched = report.touched_mask(new_h.num_nodes());
+    let prior = Prior {
+        partition: prior_partition,
+        node_map: &report.node_map,
+        touched: &touched,
+    };
     let mut partition = run.result.partition;
     let mut best_cost = run.result.cost;
     let mut best_salvage = SalvageReport::default();
-    for _ in 0..params.constructions_per_metric.max(1) {
-        match construct_partition_salvaged(
+    for _ in 0..partitioner.params().constructions_per_metric {
+        match construct_partition_budgeted(
             new_h,
             spec,
             &run.result.metric,
             rng,
             budget,
-            prior_partition,
-            &report.node_map,
-            &touched_mask,
+            Some(&prior),
         ) {
             Ok((p, salvage)) => {
                 if validate::validate(new_h, spec, &p).is_ok() {
@@ -376,16 +236,15 @@ fn cold_fallback<R: Rng + ?Sized>(
         }
     }
 
-    let warm_run = WarmRun {
+    Ok(WarmRun {
         partition,
         cost: best_cost,
         lengths: run.result.metric.lengths().to_vec(),
         outcome: run.outcome,
-        stats: aggregate(&run_stats),
+        stats: aggregate(&run.result.history),
         salvage: best_salvage,
         warm: false,
-    };
-    Ok((warm_run, run_stats))
+    })
 }
 
 /// A chained incremental-repartitioning session: holds the current
@@ -550,7 +409,10 @@ impl EcoSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::random_delta_clustered;
+    use crate::{random_delta_clustered, AppliedDelta};
+    use htp_core::injector::FlowParams;
+    use htp_core::partitioner::BudgetedRun;
+    use htp_core::Interrupt;
     use htp_netlist::gen::rent::{rent_circuit, RentParams};
     use htp_netlist::{HypergraphBuilder, NodeId};
 
@@ -590,6 +452,55 @@ mod tests {
         assert_eq!(s.hypergraph().num_nodes(), 19);
     }
 
+    /// The seeded run the warm route makes for `applied`, with the
+    /// per-iteration history [`WarmRun::stats`] aggregates.
+    fn seeded_run(
+        s: &EcoSession,
+        applied: &AppliedDelta,
+        params: PartitionerParams,
+        seed: u64,
+        budget: &Budget,
+    ) -> BudgetedRun {
+        let h = &applied.hypergraph;
+        let carry = applied.report.carry_lengths(s.lengths(), h.num_nets());
+        let warm = WarmSeed {
+            lengths: &carry,
+            touched: &applied.report.touched_nodes,
+            prior: s.partition(),
+            node_map: &applied.report.node_map,
+        };
+        FlowPartitioner::try_new(params)
+            .unwrap()
+            .run_seeded(
+                h,
+                s.spec(),
+                &mut StdRng::seed_from_u64(seed),
+                budget,
+                Some(&warm),
+            )
+            .unwrap()
+    }
+
+    /// A rent:600 session and a 2% clustered edit of it, which takes the
+    /// warm route under the default policy.
+    fn rent600_edit(seed: u64) -> (EcoSession, AppliedDelta) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let h = rent_circuit(
+            RentParams {
+                nodes: 600,
+                primary_inputs: 600 / 16,
+                locality: 0.8,
+                ..RentParams::default()
+            },
+            &mut rng,
+        );
+        let spec = TreeSpec::full_tree(h.total_size(), 3, 2, 1.15, 1.0).unwrap();
+        let s = EcoSession::bootstrap(h, spec, quick_params(), seed).unwrap();
+        let delta = random_delta_clustered(s.hypergraph(), 0.02, &mut rng);
+        let applied = delta.apply(s.hypergraph()).unwrap();
+        (s, applied)
+    }
+
     #[test]
     fn multi_round_aggregate_is_the_field_wise_sum_of_its_rounds() {
         let h = chain(32);
@@ -609,7 +520,7 @@ mod tests {
             cold_fallback_fraction: 1.0,
             min_warm_nodes: 0,
         };
-        let (run, rounds) = warm_partition_rounds(
+        let run = warm_partition(
             &applied.hypergraph,
             s.spec(),
             &params,
@@ -622,12 +533,18 @@ mod tests {
         )
         .unwrap();
         assert!(run.warm);
+        let seeded = seeded_run(&s, &applied, params, 4, &Budget::unlimited());
+        assert_eq!(run.partition, seeded.result.partition);
+        let rounds: Vec<InjectionStats> = seeded.result.history.iter().map(|r| r.stats).collect();
         assert_eq!(rounds.len(), 3);
+        let agg = aggregate(&seeded.result.history);
+        // Equality covers the deterministic counters; the timings of two
+        // runs differ, so the sums below check them on one run.
+        assert_eq!(run.stats, agg);
         let sum = |f: fn(&InjectionStats) -> usize| rounds.iter().map(f).sum::<usize>();
         let time = |f: fn(&InjectionStats) -> std::time::Duration| {
             rounds.iter().map(f).sum::<std::time::Duration>()
         };
-        let agg = run.stats;
         assert_eq!(agg.injections, sum(|r| r.injections));
         assert_eq!(agg.rounds, sum(|r| r.rounds));
         assert_eq!(agg.probes, sum(|r| r.probes));
@@ -649,27 +566,15 @@ mod tests {
 
     #[test]
     fn interrupted_warm_runs_name_where_the_best_partition_came_from() {
-        // Round 1 re-converges in the budget's only round; round 2 is
-        // stopped before its first and salvages from the carried metric.
-        // The outcome must say which of them produced the winner, as the
-        // cold partitioner's does: seed 0's winner is salvage work from
-        // round 2, seed 1's comes from the clean round 1.
+        // Iteration 1 re-converges in the budget's only round; iteration
+        // 2 is stopped before its first and salvages from the carried
+        // metric. The outcome must say which of them produced the winner,
+        // as the cold partitioner's does: seed 0's winner is salvage work
+        // from iteration 2, seed 1's comes from the clean iteration 1.
         for (seed, expected) in [(0, RunOutcome::Degraded), (1, RunOutcome::DeadlineExceeded)] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let h = rent_circuit(
-                RentParams {
-                    nodes: 600,
-                    primary_inputs: 600 / 16,
-                    locality: 0.8,
-                    ..RentParams::default()
-                },
-                &mut rng,
-            );
-            let spec = TreeSpec::full_tree(h.total_size(), 3, 2, 1.15, 1.0).unwrap();
-            let s = EcoSession::bootstrap(h, spec, quick_params(), seed).unwrap();
-            let delta = random_delta_clustered(s.hypergraph(), 0.02, &mut rng);
-            let applied = delta.apply(s.hypergraph()).unwrap();
-            let (run, rounds) = warm_partition_rounds(
+            let (s, applied) = rent600_edit(seed);
+            let budget = || Budget::unlimited().with_max_rounds(1);
+            let run = warm_partition(
                 &applied.hypergraph,
                 s.spec(),
                 &quick_params(),
@@ -678,21 +583,100 @@ mod tests {
                 s.lengths(),
                 &applied.report,
                 &mut StdRng::seed_from_u64(seed + 100),
-                &Budget::unlimited().with_max_rounds(1),
+                &budget(),
             )
             .unwrap();
             assert!(run.warm, "seed {seed}");
+            assert_eq!(run.outcome, expected, "seed {seed}");
+            assert_eq!(run.stats.interrupt, Some(Interrupt::RoundLimit));
+            let seeded = seeded_run(&s, &applied, quick_params(), seed + 100, &budget());
+            let rounds = &seeded.result.history;
             assert_eq!(rounds.len(), 2, "seed {seed}");
             assert!(
-                rounds[0].interrupt.is_none() && rounds[0].converged,
+                rounds[0].stats.interrupt.is_none() && rounds[0].stats.converged,
                 "seed {seed}"
             );
             assert_eq!(
-                rounds[1].interrupt,
+                rounds[1].stats.interrupt,
                 Some(Interrupt::RoundLimit),
                 "seed {seed}"
             );
-            assert_eq!(run.outcome, expected, "seed {seed}");
+            assert_eq!(seeded.outcome, expected, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn an_interrupted_warm_run_without_a_partition_reports_the_interrupt() {
+        // One node grown past the root capacity: a local edit that no
+        // construction can place.
+        let (s, _) = rent600_edit(3);
+        let mut d = s.delta();
+        d.resize_node(NodeId::new(0), 200).unwrap();
+        let applied = d.apply(s.hypergraph()).unwrap();
+        let solve = |budget: &Budget| {
+            warm_partition(
+                &applied.hypergraph,
+                s.spec(),
+                &quick_params(),
+                &WarmPolicy::default(),
+                s.partition(),
+                s.lengths(),
+                &applied.report,
+                &mut StdRng::seed_from_u64(4),
+                budget,
+            )
+        };
+        let err = solve(&Budget::unlimited()).unwrap_err();
+        assert!(
+            matches!(err, EcoError::Core(CoreError::Infeasible { .. })),
+            "{err:?}"
+        );
+        // As on the cold route, an interrupt that left nothing to salvage
+        // is the error, not the last construction failure.
+        let cancelled = Budget::unlimited();
+        cancelled.cancel_token().cancel();
+        assert_eq!(
+            solve(&cancelled).unwrap_err(),
+            EcoError::Core(CoreError::Interrupted(Interrupt::Cancelled))
+        );
+    }
+
+    #[test]
+    fn bad_params_on_the_warm_route_are_the_cold_routes_typed_errors() {
+        let (s, applied) = rent600_edit(1);
+        let solve = |params: &PartitionerParams| {
+            warm_partition(
+                &applied.hypergraph,
+                s.spec(),
+                params,
+                &WarmPolicy::default(),
+                s.partition(),
+                s.lengths(),
+                &applied.report,
+                &mut StdRng::seed_from_u64(2),
+                &Budget::unlimited(),
+            )
+        };
+        assert!(solve(&quick_params()).unwrap().warm, "the edit is local");
+        let nan_delta = PartitionerParams {
+            flow: FlowParams {
+                delta: f64::NAN,
+                ..FlowParams::default()
+            },
+            ..quick_params()
+        };
+        let no_iterations = PartitionerParams {
+            iterations: 0,
+            ..quick_params()
+        };
+        for (params, what) in [
+            (nan_delta, "delta must be positive"),
+            (no_iterations, "need at least one iteration"),
+        ] {
+            let err = solve(&params).unwrap_err();
+            assert_eq!(err, EcoError::Core(CoreError::InvalidParams { what }));
+            let cold = FlowPartitioner::try_new(params).unwrap_err();
+            assert_eq!(err, EcoError::Core(cold));
         }
     }
 

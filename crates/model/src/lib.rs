@@ -12,7 +12,6 @@
 //! * [`gfn`] — the spreading bound `g(x)` from the linear program (P1).
 //! * [`validate`] — checks a partition against a spec (`C_l`, `K_l`).
 //! * [`io`] — saves/loads partitions in a small text format.
-//! * [`metrics`] — per-block I/O pin demand, balance, per-level cuts.
 //!
 //! # Examples
 //!
@@ -40,7 +39,6 @@ pub mod cost;
 pub mod error;
 pub mod gfn;
 pub mod io;
-pub mod metrics;
 pub mod partition;
 pub mod spec;
 pub mod validate;

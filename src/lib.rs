@@ -14,8 +14,6 @@
 //! * [`baselines`] — GFM, RFM, FM bipartitioning, and hierarchical FM
 //!   improvement from the companion DAC '96 paper.
 //! * [`lp`] — exact (P1) lower bounds by cutting-plane linear programming.
-//! * [`treepart`] — Vijayan's min-cost tree partitioning (reference \[16\]),
-//!   the fixed-tree sibling of HTP.
 //! * [`cluster`] — stochastic flow-injection clustering (reference \[17\])
 //!   and the multilevel V-cycle built on it.
 //! * [`verify`] — clean-room verification oracles: partition
@@ -62,7 +60,6 @@ pub use htp_lp as lp;
 pub use htp_model as model;
 pub use htp_netlist as netlist;
 pub use htp_server as server;
-pub use htp_treepart as treepart;
 pub use htp_verify as verify;
 
 /// The crate version, for tooling.
